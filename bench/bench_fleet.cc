@@ -3,30 +3,22 @@
 // lockfree_lookup=off — every grant lookup funnels through one mutex, the pre-shard
 // controller) as the baseline. BM_GrantLookup is the CI-gated pair: the 8-shard
 // lock-free configuration must beat the 1-shard legacy one on items_per_second
-// (scripts/check_fleet_bench.py). BM_FleetChurn runs the full fleet op mix (Zipfian
+// (scripts/check_bench.py fleet). BM_FleetChurn runs the full fleet op mix (Zipfian
 // reads + private writes + cross-shard renames) to exercise the two-phase path under
-// load and to measure the fast-hit rate.
-//
-// After the benchmarks the binary calibrates a sim::FleetProfile from the live harness
-// (fast-path and locked-path lookup latency, measured hit rate) and prints the
-// extrapolation toward millions of clients — the per-shard-cost projection the shard
-// refactor is sized against. Run with --benchmark_out=BENCH_fleet.json
+// load and to measure the fast-hit rate. Run with --benchmark_out=BENCH_fleet.json
 // --benchmark_out_format=json to track the trajectory across PRs.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/core/core_state.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
-#include "src/sim/fleet.h"
 #include "src/workloads/workloads.h"
 
 namespace trio {
@@ -172,67 +164,7 @@ BENCHMARK(BM_FleetChurn)
     ->Threads(4)
     ->UseRealTime();
 
-// ---- Extrapolation: measured per-shard costs -> millions of clients ----
-
-double MeasureLookupUs(FleetHarness& harness, int iters) {
-  Rng rng(7);
-  Zipfian zipf(kSharedFiles, 0.99);
-  const double t0 = bench::NowSeconds();
-  for (int i = 0; i < iters; ++i) {
-    benchmark::DoNotOptimize(harness.kernel->LookupGrant(
-        harness.tenant_ids[0], harness.shared_inos[zipf.Next(rng)]));
-  }
-  return (bench::NowSeconds() - t0) * 1e6 / iters;
-}
-
 }  // namespace
-
-void PrintFleetExtrapolation() {
-  FleetHarness& sharded = HarnessFor(8);
-  FleetHarness& legacy = HarnessFor(1);
-  const double fast_us = MeasureLookupUs(sharded, 200000);
-  // With the cache off every lookup takes the (single) shard mutex, so the whole locked
-  // lookup approximates the time under the mutex.
-  const double locked_us = MeasureLookupUs(legacy, 50000);
-
-  KernelStats& stats = sharded.kernel->stats();
-  const double hits = static_cast<double>(stats.grant_fast_hits.load());
-  const double misses = static_cast<double>(stats.grant_fast_misses.load());
-  const double hit_rate = hits + misses > 0 ? hits / (hits + misses) : 0.95;
-
-  sim::MachineModel machine;  // The paper's 224-core testbed.
-  bench::Table table("Fleet extrapolation (measured per-shard costs, " +
-                     std::to_string(machine.cores) + "-core machine model)");
-  table.SetHeader({"config", "shards", "clients", "Mops/s", "bound"});
-  struct Config {
-    const char* name;
-    int shards;
-    double hit_rate;
-  };
-  const Config configs[] = {
-      {"legacy one-mutex", 1, 0.0},
-      {"sharded lock-free", 8, hit_rate},
-      {"sharded lock-free", 64, hit_rate},
-  };
-  for (const Config& config : configs) {
-    for (uint64_t clients : {64ull, 4096ull, 65536ull, 1048576ull, 4194304ull}) {
-      sim::FleetProfile profile;
-      profile.fast_lookup_us = fast_us;
-      profile.locked_lookup_us = locked_us;
-      profile.fast_hit_rate = config.hit_rate;
-      profile.shard_serial_us = locked_us;
-      profile.shards = config.shards;
-      const sim::FleetPoint point = sim::ExtrapolateFleet(machine, profile, clients);
-      char mops[32];
-      std::snprintf(mops, sizeof(mops), "%.2f", point.ops_per_sec / 1e6);
-      table.AddRow({config.name, std::to_string(config.shards),
-                    std::to_string(clients), mops, point.bound});
-    }
-  }
-  table.Print();
-  std::printf("calibration: fast=%.3fus locked=%.3fus hit_rate=%.3f\n", fast_us,
-              locked_us, hit_rate);
-}
 
 }  // namespace trio
 
@@ -248,6 +180,5 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  trio::PrintFleetExtrapolation();
   return 0;
 }

@@ -1,7 +1,7 @@
 // Absorb-tier benchmarks: datasets larger than NVM, with background digestion to the
 // simulated slow backend and the LibFS promote cache faulting hot pages back in.
 //
-// The CI-gated pair (scripts/check_tier_bench.py):
+// The CI-gated pair (scripts/check_bench.py tier):
 //   BM_TierSyncWrite mode:1 (absorb tier, dataset 4x NVM) must stay within 1.25x of
 //     mode:0 (NVM-only, dataset fits) on items_per_second — syncs always land in NVM,
 //     so a dataset that outgrows NVM must not slow the sync path down. Digestion must

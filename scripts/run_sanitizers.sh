@@ -40,8 +40,10 @@ spsc_filter='SpscRingTest.*'
 schedule_filter='ScheduleExplorerTest.GeneratorIsDeterministicAndBounded:ScheduleExplorerTest.CleanKernelSweepsClean'
 fuzz_filter='*FuzzCorpusTest*_v0:VerifierBoundsTest.*:QuarantineBoundsTest.*'
 # Fleet suite: 64 tenants over the sharded controller, concurrent cross-shard renames,
-# revoke/force-release canaries, cross-shard forgeries — the shard refactor's
-# thread-crossing paths. Small enough to run whole under both sanitizers.
+# the 4-thread rename churn that must never force a cooperating holder
+# (FleetTest.RenameChurnNeverForcesCooperatingHolders), revoke/force-release canaries,
+# cross-shard forgeries — the shard refactor's thread-crossing paths. Small enough to
+# run whole under both sanitizers.
 fleet_filter='FleetTest.*'
 # Tier suite: background digestion thread vs grants, promote-cache seqlock reads, the
 # LeaseCache refill worker, and the digestion crash sweep. Small enough to run whole.

@@ -565,8 +565,8 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
     const size_t si = ShardIndexOf(ino);
     ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
     FileRecord* file = FindRecordLocked(*shards_[si], ino);
-    if (file != nullptr) {
-      file->readers.erase(libfs);
+    if (file != nullptr && file->readers.erase(libfs) > 0) {
+      BumpGrantGenLocked(*shards_[si], file);
     }
     grant_cache_.Erase(ino);
   }

@@ -33,7 +33,6 @@
 #ifndef SRC_KERNEL_CONTROLLER_H_
 #define SRC_KERNEL_CONTROLLER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -97,10 +96,6 @@ struct KernelConfig {
   // Quarantined files retained at once; the oldest entry is evicted beyond this (a
   // malicious tenant must not grow kernel memory without bound by corrupting files).
   size_t max_quarantined_files = 16;
-  // TEST ONLY: plant a page double-free on ownership transfers that raced a lease
-  // revocation. Exists so the schedule explorer can prove it finds and minimizes a real
-  // cross-tenant interleaving bug; never enable outside tests.
-  bool canary_leak_on_contended_transfer = false;
   // Extra wall-clock grace past the lease deadline before an unresponsive holder's
   // mapping is reclaimed by force.
   uint64_t revoke_grace_ms = 50;
@@ -420,6 +415,11 @@ class KernelController : public OwnershipView, public VerifyEnv {
     std::unordered_set<uint64_t> backend_slots;
     LibFsId writer = kNoLibFs;
     std::unordered_set<LibFsId> readers;
+    // Grant generation: renewed on every change to `writer` or `readers`. A revoke
+    // targets the generation it saw; if that generation is still current after the
+    // holder's callback, the holder ignored the revoke (DESIGN.md §4.10).
+    uint64_t grant_gen = 0;
+    uint64_t revoked_gen = 0;  // Generation the latest revoke targeted.
     uint64_t lease_deadline_ns = 0;
     // Last grant activity (MapFile/LookupGrant), for coldest-first digestion ordering.
     uint64_t last_use_ns = 0;
@@ -452,6 +452,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
     std::condition_variable cv;  // Signalled when a record's busy flag clears.
     std::unordered_map<Ino, FileRecord> records;
     std::unordered_map<Ino, InoState> ino_states;
+    // Source of grant generations for this shard's records. Per-shard monotonic, so an
+    // ino's next record never reuses a generation an in-flight revoke still targets.
+    uint64_t grant_clock = 0;
   };
 
   // Naming discipline (enforceable now that shard mutexes are non-recursive):
@@ -466,6 +469,11 @@ class KernelController : public OwnershipView, public VerifyEnv {
   }
   Shard& ShardOf(Ino ino) const { return *shards_[ShardIndexOf(ino)]; }
   static FileRecord* FindRecordLocked(Shard& shard, Ino ino);
+  // Stamps `record` (in `shard`) with a fresh grant generation after its writer or
+  // readers changed.
+  static void BumpGrantGenLocked(Shard& shard, FileRecord* record) {
+    record->grant_gen = ++shard.grant_clock;
+  }
   // Blocks on the shard cv until `ino`'s record is not busy; returns the re-found record
   // (nullptr if it vanished while waiting). `lk` is the shard lock, held on entry/exit.
   FileRecord* WaitNotBusyLocked(Shard& shard, std::unique_lock<std::mutex>& lk, Ino ino);
@@ -491,9 +499,11 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // the session quiesced. PRE: this thread set `busy` on the record; no locks held.
   void FinishWriteRelease(LibFsId libfs, Ino ino,
                           const std::shared_ptr<LibFsRecord>& me);
-  // Reclaims `holder`'s mapping of `ino` after its revoke callback overran the lease
-  // deadline: verify-and-reconcile (writers), revoke MMU grants, drop the lease.
-  void ForceRelease(Ino ino, LibFsId holder);
+  // Reclaims `holder`'s mapping of `ino` if the record is still at grant generation
+  // `gen` (the holder ignored or overran the revoke of that generation):
+  // verify-and-reconcile (writers), revoke MMU grants, drop the lease. A no-op once the
+  // generation has moved.
+  void ForceRelease(Ino ino, LibFsId holder, uint64_t gen);
 
   // ---- verification / safety (controller_verify.cc) ----
   // Verify `ino`'s write session and reconcile (or fix/quarantine/rollback on failure).
@@ -573,10 +583,6 @@ class KernelController : public OwnershipView, public VerifyEnv {
   std::unordered_map<Ino, QuarantineEntry> quarantine_;
   std::deque<std::pair<uint64_t, Ino>> quarantine_fifo_;  // (sequence, ino), oldest first.
   uint64_t quarantine_sequence_ = 0;
-
-  // Revocation-driven transfers in flight (the canary hook reads this racily by design —
-  // the schedule explorer drives it single-threaded, where it is exact).
-  std::atomic<int> contended_transfer_depth_{0};
 
   // Free resources. Per-NUMA-node free page lists (per-CPU sharding happens in the
   // LibFS-side allocator cache; the kernel hands out batches).

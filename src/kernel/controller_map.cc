@@ -184,30 +184,15 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
   }
 
   const size_t si = ShardIndexOf(ino);
-  // Holder of the last COMPLETED revoke callback, plus the lease deadline its grant
-  // carried when we revoked. If the next round finds the very same conflict with the
-  // SAME deadline, the grant survived a revoke its holder answered: the holder no
-  // longer believes it holds the file (e.g. its node state is long torn down while we
-  // carry an implicit grant from a parent commit) — another callback cannot help, so
-  // reclaim by force. A CHANGED deadline means the holder cooperatively unmapped and
-  // re-mapped (or renewed) after its callback: it is live and mid-operation, and
-  // forcing now would verify-and-roll-back a half-committed op that the holder then
-  // finishes against the rolled-back image (observed as lost renames under the fleet
-  // shuttle). Revoke again instead, bounded by kMaxRevokeRounds so a holder that
-  // re-maps forever still cannot stall a mapper indefinitely.
-  constexpr int kMaxRevokeRounds = 8;
-  LibFsId already_revoked = kNoLibFs;
-  uint64_t revoked_lease_end = 0;
-  int revoke_rounds = 0;
   while (true) {
     // Conflict handling that must run unlocked (revoke callbacks, dead-writer
     // verification) is staged out of the locked section and re-evaluated from scratch.
-    enum class Pending { kNone, kDeadWriter, kRevoke, kForce };
-    Pending pending = Pending::kNone;
     LibFsId conflict = kNoLibFs;
     std::shared_ptr<LibFsRecord> holder;
     std::function<void(Ino)> revoke;
     uint64_t lease_end = 0;
+    uint64_t revoked_gen = 0;
+    bool dead_writer = false;
 
     {
       ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
@@ -286,6 +271,7 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
           std::lock_guard<std::mutex> guard(me->mu);
           me->read_mapped.insert(ino);
         }
+        BumpGrantGenLocked(*shards_[si], record);
         GrantFilePagesLocked(libfs, *record, write);
         record->last_use_ns = NowNs();  // Digestion's cold scan orders by last grant.
         PublishGrantLocked(*record, libfs, write);
@@ -302,9 +288,10 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
         // Dead or unresponsive holder: force the release ourselves.
         if (record->writer == conflict) {
           record->busy = true;  // Pin for the verification staged below.
-          pending = Pending::kDeadWriter;
+          dead_writer = true;
         } else {
           record->readers.erase(conflict);
+          BumpGrantGenLocked(*shards_[si], record);
           if (holder != nullptr) {
             std::lock_guard<std::mutex> guard(holder->mu);
             holder->read_mapped.erase(ino);
@@ -312,65 +299,46 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
           grant_cache_.Erase(ino);
           continue;  // Re-evaluate (more readers may remain).
         }
-      } else if (conflict == already_revoked &&
-                 (record->lease_deadline_ns == revoked_lease_end ||
-                  ++revoke_rounds > kMaxRevokeRounds)) {
-        pending = Pending::kForce;
       } else {
+        // The revoke targets the grant generation read here. NOTE: busy is NOT set: the
+        // holder's revoke callback calls UnmapFile, which must claim the record itself.
         revoke = holder->callbacks.revoke;
         lease_end = record->lease_deadline_ns;
-        pending = Pending::kRevoke;
-        // NOTE: busy is NOT set here. The holder's revoke callback calls UnmapFile,
-        // which must be able to claim the record itself.
+        revoked_gen = record->grant_gen;
+        record->revoked_gen = revoked_gen;
       }
     }  // shard lock released
 
-    if (pending == Pending::kDeadWriter) {
+    if (dead_writer) {
       (void)VerifyAndReconcile(ino);
       FinishWriteRelease(conflict, ino, holder);
       continue;
     }
-    if (pending == Pending::kForce) {
-      ShardRank::AssertNoneHeld();
-      ForceRelease(ino, conflict);
-      continue;
-    }
 
-    // Pending::kRevoke — ask the holder to release; transfers triggered by this
-    // revocation count as contended while we wait (the canary hook keys off this depth).
+    // Ask the holder to release. Under guard_callbacks the holder is trusted to
+    // cooperate only until its lease expires: the callback is abandoned once it overruns
+    // the lease deadline plus grace, so an unresponsive holder cannot stall a mapper.
     ShardRank::AssertNoneHeld();
     stats_.revocations.fetch_add(1, std::memory_order_relaxed);
-    contended_transfer_depth_.fetch_add(1, std::memory_order_relaxed);
     if (!config_.guard_callbacks) {
       revoke(ino);  // Synchronous: the holder unmaps (verify runs on this path).
-      contended_transfer_depth_.fetch_sub(1, std::memory_order_relaxed);
-      already_revoked = conflict;
-      revoked_lease_end = lease_end;
-      continue;  // Re-evaluate from scratch; records may have been reclaimed.
-    }
-    // Lease enforcement: the holder is trusted to cooperate only until its lease
-    // expires. Wait for the revoke callback at most until the lease deadline (plus
-    // grace), then reclaim the mapping by force — an unresponsive holder cannot stall
-    // a conflicting mapper beyond its lease.
-    const uint64_t now = NowNs();
-    const uint64_t remaining_ms =
-        lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
-    const uint64_t budget_ms = remaining_ms + config_.revoke_grace_ms;
-    const Ino revoke_ino = ino;
-    auto revoke_fn = revoke;
-    const bool completed =
-        callback_guard_.Run(budget_ms, [revoke_fn, revoke_ino] { revoke_fn(revoke_ino); });
-    contended_transfer_depth_.fetch_sub(1, std::memory_order_relaxed);
-    if (!completed) {
-      stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
-      TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << conflict
-                      << " overran the lease deadline; forcing release";
-      ForceRelease(ino, conflict);
     } else {
-      already_revoked = conflict;
-      revoked_lease_end = lease_end;
+      const uint64_t now = NowNs();
+      const uint64_t remaining_ms =
+          lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
+      const Ino revoke_ino = ino;
+      if (!callback_guard_.Run(remaining_ms + config_.revoke_grace_ms,
+                               [revoke, revoke_ino] { revoke(revoke_ino); })) {
+        stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
+        TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << conflict
+                        << " overran the lease deadline; forcing release";
+      }
     }
-    // Re-evaluate from scratch; records may have been reclaimed.
+    // The one revocation rule: a holder that still holds the very grant generation we
+    // revoked ignored the revoke (or overran it) and is released by force. A moved
+    // generation means it answered — possibly re-mapping right after — so it is live
+    // and the loop simply revokes again if the conflict remains.
+    ForceRelease(ino, conflict, revoked_gen);
   }
 }
 
@@ -382,6 +350,7 @@ void KernelController::FinishWriteRelease(LibFsId libfs, Ino ino,
     FileRecord* record = FindRecordLocked(*shards_[si], ino);
     if (record != nullptr) {
       record->writer = kNoLibFs;
+      BumpGrantGenLocked(*shards_[si], record);
       record->checkpoint.reset();
       if (me != nullptr) {
         // An unregistered holder's references already fell with RevokeAll.
@@ -406,15 +375,15 @@ void KernelController::FinishWriteRelease(LibFsId libfs, Ino ino,
   }
 }
 
-void KernelController::ForceRelease(Ino ino, LibFsId holder) {
+void KernelController::ForceRelease(Ino ino, LibFsId holder, uint64_t gen) {
   std::shared_ptr<LibFsRecord> holder_record = FindLibFs(holder);
   const size_t si = ShardIndexOf(ino);
   bool writer_path = false;
   {
     ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
     FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
-    if (record == nullptr) {
-      return;
+    if (record == nullptr || record->grant_gen != gen) {
+      return;  // The revoked grant is gone: its holder released it.
     }
     if (record->writer == holder) {
       // Same teardown as a cooperative unmap: the holder's work is verified (and rolled
@@ -422,6 +391,7 @@ void KernelController::ForceRelease(Ino ino, LibFsId holder) {
       record->busy = true;
       writer_path = true;
     } else if (record->readers.erase(holder) > 0) {
+      BumpGrantGenLocked(*shards_[si], record);
       if (holder_record != nullptr) {
         {
           std::lock_guard<std::mutex> guard(holder_record->mu);
@@ -463,6 +433,7 @@ Status KernelController::UnmapFile(LibFsId libfs, Ino ino) {
       record->busy = true;  // Verification runs below, outside the lock.
       writer_path = true;
     } else if (record->readers.erase(libfs) > 0) {
+      BumpGrantGenLocked(*shards_[si], record);
       {
         std::lock_guard<std::mutex> guard(me->mu);
         me->read_mapped.erase(ino);

@@ -18,6 +18,7 @@
 #include "src/kernel/syscall_boundary.h"
 #include "src/obs/persist_span.h"
 #include "src/sim/backend.h"
+#include "src/sim/fault_injector.h"
 
 namespace trio {
 
@@ -284,14 +285,15 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
       record->backend_slots = std::move(new_slots);
     }
 
-    // TEST ONLY (see KernelConfig::canary_leak_on_contended_transfer): on a transfer
-    // that raced a lease revocation, leak one still-referenced page back onto the free
-    // list. A later allocation hands it to another tenant => durable cross-file double
-    // reference, which only fsck after a crash sees (the online verifier checks one file
-    // at a time). The schedule explorer exists to find exactly this class of bug.
-    if (config_.canary_leak_on_contended_transfer &&
-        contended_transfer_depth_.load(std::memory_order_relaxed) > 0 &&
-        !record->pages.empty()) {
+    // FaultSim (kFaultKernelLeakOnRevokedTransfer): on a transfer that answers a
+    // revoke, leak one still-referenced page back onto the free list. A later allocation
+    // hands it to another tenant => durable cross-file double reference, which only fsck
+    // after a crash sees (the online verifier checks one file at a time). The schedule
+    // explorer exists to find exactly this class of bug.
+    FaultInjector* injector = pool_.fault_injector();
+    if (injector != nullptr && record->writer != kNoLibFs &&
+        record->revoked_gen == record->grant_gen && !record->pages.empty() &&
+        injector->ShouldFire(kFaultKernelLeakOnRevokedTransfer)) {
       const PageNumber leaked =
           *std::max_element(record->pages.begin(), record->pages.end());
       std::lock_guard<std::mutex> guard(alloc_mu_);
@@ -324,6 +326,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
 
       if (writer_id != kNoLibFs) {
         fresh.writer = writer_id;
+        BumpGrantGenLocked(child_shard, &fresh);
         fresh.lease_deadline_ns = NowNs() + config_.lease_ms * 1000000ull;
         if (writer != nullptr) {
           std::lock_guard<std::mutex> guard(writer->mu);
@@ -520,12 +523,12 @@ Status KernelController::TakeCheckpointLocked(FileRecord* record) {
           copy_page(page);
           return OkStatus();
         }));
-    TRIO_RETURN_IF_ERROR(ForEachDirent(pool_, first,
-                                       [&](DirentBlock* child, PageNumber, size_t) -> Status {
-                                         checkpoint->children.push_back(CheckpointChild{
-                                             child->ino, child->IsDirectory()});
-                                         return OkStatus();
-                                       }));
+    TRIO_RETURN_IF_ERROR(ForEachDirent(
+        pool_, first, [&](DirentBlock* child, PageNumber page, size_t slot) -> Status {
+          checkpoint->children.push_back(
+              CheckpointChild{child->ino, child->IsDirectory(), page, slot});
+          return OkStatus();
+        }));
   }
   record->checkpoint = std::move(checkpoint);
   return OkStatus();

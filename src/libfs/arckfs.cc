@@ -52,7 +52,7 @@ ArckFs::ArckFs(KernelController& kernel, ArckFsConfig config)
       libfs_(RegisterWithKernel(kernel, config_)),
       leases_(kernel, libfs_, config_.page_batch, config_.ino_batch),
       promote_cache_(kernel.pool(), config_.promote_cache_slots,
-                     config_.promote_cache_shards, config_.promote_policy) {
+                     config_.promote_cache_shards) {
   Superblock* sb = SuperblockOf(pool_);
   GetOrCreateNode(kRootIno, kInvalidIno, /*is_dir=*/true, &sb->root);
   if (config_.ring.enabled) {

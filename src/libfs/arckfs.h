@@ -75,8 +75,6 @@ struct ArckFsConfig {
   // 0 slots = disabled: tier reads still work but pay a kernel promote every time.
   size_t promote_cache_slots = 0;
   size_t promote_cache_shards = 8;
-  // Optional replacement-policy override (unowned); null = built-in CLOCK.
-  PromoteCache::Policy* promote_policy = nullptr;
 };
 
 // Registered into obs::StatRegistry under layer "libfs" (summed across instances).
@@ -320,7 +318,9 @@ class ArckFs : public FsInterface, private RingPassHooks {
   LeaseCache leases_;
   PromoteCache promote_cache_;
   FdTable<FileNode> fds_;
-  LibFsStats stats_;
+  // Every thread bumps these counters on every op: start them on a cache line of their
+  // own, so the read-mostly members above never share one with them.
+  alignas(64) LibFsStats stats_;
   // Persistence accounting for every PersistSpan this LibFS opens (layer "libfs").
   obs::PersistStats persist_stats_{"libfs"};
 

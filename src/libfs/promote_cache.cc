@@ -6,26 +6,6 @@ namespace trio {
 
 namespace {
 
-// Classic CLOCK: sweep from the hand, clearing access bits, and take the first slot
-// whose bit was already clear. Empty slots win immediately. Bounded by two full laps
-// (every bit is clear after one), so it always terminates.
-class ClockPolicy : public PromoteCache::Policy {
- public:
-  size_t PickVictim(PromoteCache::Slot* slots, size_t count, size_t* hand) override {
-    for (size_t step = 0; step < 2 * count; ++step) {
-      const size_t i = *hand;
-      *hand = (*hand + 1) % count;
-      if (slots[i].key.load(std::memory_order_relaxed) == 0) {
-        return i;
-      }
-      if (slots[i].referenced.exchange(0, std::memory_order_relaxed) == 0) {
-        return i;
-      }
-    }
-    return *hand;  // Unreachable; keeps the contract total.
-  }
-};
-
 size_t RoundUpPow2(size_t v) {
   size_t p = 1;
   while (p < v) {
@@ -36,13 +16,21 @@ size_t RoundUpPow2(size_t v) {
 
 }  // namespace
 
-PromoteCache::PromoteCache(NvmPool& pool, size_t total_slots, size_t shards,
-                           Policy* policy)
-    : pool_(pool), policy_(policy) {
-  if (policy_ == nullptr) {
-    default_policy_ = std::make_unique<ClockPolicy>();
-    policy_ = default_policy_.get();
+size_t PromoteCache::Shard::PickVictim() {
+  const size_t count = slots.size();
+  for (size_t step = 0; step < 2 * count; ++step) {
+    const size_t i = hand;
+    hand = (hand + 1) % count;
+    if (slots[i].key.load(std::memory_order_relaxed) == 0 ||
+        slots[i].referenced.exchange(0, std::memory_order_relaxed) == 0) {
+      return i;
+    }
   }
+  return hand;  // Unreachable; keeps the contract total.
+}
+
+PromoteCache::PromoteCache(NvmPool& pool, size_t total_slots, size_t shards)
+    : pool_(pool) {
   const size_t shard_count = RoundUpPow2(shards == 0 ? 1 : shards);
   shards_ = std::vector<Shard>(shard_count);
   shift_ = 64;
@@ -113,9 +101,7 @@ PageNumber PromoteCache::Insert(Ino ino, uint64_t page_index, PageNumber page) {
       return page;
     }
   }
-  const size_t victim = policy_->PickVictim(shard.slots.data(), shard.slots.size(),
-                                            &shard.hand);
-  Slot& slot = shard.slots[victim];
+  Slot& slot = shard.slots[shard.PickVictim()];
   const PageNumber evicted = slot.key.load(std::memory_order_relaxed) != 0 ? slot.page : 0;
   shard.seq.fetch_add(1, std::memory_order_acq_rel);  // Odd: readers stand back.
   slot.key.store(key, std::memory_order_relaxed);

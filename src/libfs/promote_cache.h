@@ -12,9 +12,7 @@
 // safe: an evicted page may be recycled through the LeaseCache and rewritten by anyone,
 // so a page number alone could go stale between lookup and copy.
 //
-// Eviction is CLOCK over per-slot access bits by default; the policy is a virtual hook
-// (PromoteCache::Policy) so a customized LibFS can swap in its own replacement scheme
-// the same way FPFS swaps path resolution — pure auxiliary-state customization.
+// Eviction is CLOCK over per-slot access bits.
 //
 // The cache never owns pages: Insert/Erase/EraseFile hand evicted page numbers back to
 // the caller, who recycles them into its LeaseCache.
@@ -24,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/spinlock.h"
@@ -51,26 +48,9 @@ struct PromoteCacheStats {
 
 class PromoteCache {
  public:
-  struct Slot {
-    std::atomic<uint64_t> key{0};        // Packed (ino, page_index)+1; 0 = empty.
-    PageNumber page = 0;                 // Leased NVM page holding the promoted copy.
-    std::atomic<uint32_t> referenced{0};  // CLOCK access bit, set by read hits.
-  };
-
-  // Replacement policy hook. PickVictim returns a slot index in [0, count); `hand` is
-  // the shard's persistent clock hand the policy may advance. Runs under the shard
-  // write lock, so plain reads/writes of slot fields are safe.
-  class Policy {
-   public:
-    virtual ~Policy() = default;
-    virtual size_t PickVictim(Slot* slots, size_t count, size_t* hand) = 0;
-  };
-
   // `total_slots` pages cached across `shards` shards; 0 slots disables the cache
-  // (every lookup misses, Insert evicts the inserted page right back). `policy` is an
-  // unowned override; null = built-in CLOCK.
-  PromoteCache(NvmPool& pool, size_t total_slots, size_t shards = 8,
-               Policy* policy = nullptr);
+  // (every lookup misses, Insert evicts the inserted page right back).
+  PromoteCache(NvmPool& pool, size_t total_slots, size_t shards = 8);
 
   bool enabled() const { return slots_per_shard_ != 0; }
 
@@ -94,11 +74,22 @@ class PromoteCache {
   PromoteCacheStats& stats() { return stats_; }
 
  private:
+  struct Slot {
+    std::atomic<uint64_t> key{0};        // Packed (ino, page_index)+1; 0 = empty.
+    PageNumber page = 0;                 // Leased NVM page holding the promoted copy.
+    std::atomic<uint32_t> referenced{0};  // CLOCK access bit, set by read hits.
+  };
+
   struct Shard {
     SpinLock lock;                   // Writers only.
     std::atomic<uint64_t> seq{0};    // Seqlock: odd while a writer mutates.
     std::vector<Slot> slots;
     size_t hand = 0;                 // CLOCK hand.
+
+    // CLOCK: sweep from the hand, clearing access bits, and take the first slot whose
+    // bit was already clear. Empty slots win immediately. Bounded by two full laps
+    // (every bit is clear after one). Runs under `lock`.
+    size_t PickVictim();
   };
 
   // Packs (ino, page_index) into a nonzero key, or 0 if unpackable (page index beyond
@@ -119,8 +110,6 @@ class PromoteCache {
   NvmPool& pool_;
   size_t slots_per_shard_ = 0;
   unsigned shift_ = 64;
-  Policy* policy_;
-  std::unique_ptr<Policy> default_policy_;
   std::vector<Shard> shards_;
   PromoteCacheStats stats_;
 };

@@ -36,12 +36,6 @@
 
 namespace trio {
 
-// A fault point armed for the workload phase of an exploration.
-struct ArmedFault {
-  std::string point;
-  FaultPolicy policy;
-};
-
 struct CrashExplorerOptions {
   size_t pool_pages = 2048;
   uint64_t max_inodes = 1024;

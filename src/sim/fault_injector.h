@@ -11,6 +11,11 @@
 //                           media error, in both the live and persisted images.
 //   kFaultDelegationWorker  DelegationPool::Execute — a worker's chunk copy fails; the
 //                           pool retries with backoff, then completes inline.
+//   kFaultKernelLeakOnRevokedTransfer
+//                           KernelController::ApplyReport — a write session torn down in
+//                           answer to a revoke leaks one of the file's pages back onto
+//                           the free list (a planted cross-tenant double reference the
+//                           schedule explorer must find).
 //
 // Firing decisions and the random stream are deterministic from the constructor seed, so
 // any failure a fault-injection test finds is replayable from the logged seed.
@@ -31,6 +36,8 @@ namespace trio {
 inline constexpr const char kFaultNvmTornPersist[] = "nvm.torn_persist";
 inline constexpr const char kFaultNvmBitFlip[] = "nvm.bitflip";
 inline constexpr const char kFaultDelegationWorker[] = "delegation.worker_fault";
+inline constexpr const char kFaultKernelLeakOnRevokedTransfer[] =
+    "kernel.leak_on_revoked_transfer";
 
 // When an armed point fires. Hits are counted per point, across all threads.
 struct FaultPolicy {
@@ -50,6 +57,12 @@ struct FaultPolicy {
   static FaultPolicy EveryN(uint64_t n) { return {Kind::kEveryN, n, 0.0}; }
   static FaultPolicy Probability(double p) { return {Kind::kProbability, 1, p}; }
   static FaultPolicy Always() { return {Kind::kAlways, 1, 0.0}; }
+};
+
+// A fault point armed for the workload phase of an exploration.
+struct ArmedFault {
+  std::string point;
+  FaultPolicy policy;
 };
 
 struct FaultPointStats {

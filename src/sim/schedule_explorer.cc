@@ -97,6 +97,11 @@ ScheduleExplorer::RunOutcome ScheduleExplorer::RunSchedule(const TenantScript& a
   // the same schedule bit-vector has to mean the same execution every time.
   KernelConfig kernel_config = options_.kernel_config;
   kernel_config.guard_callbacks = false;
+  FaultInjector injector(options_.seed);
+  for (const ArmedFault& fault : options_.faults) {
+    injector.Arm(fault.point, fault.policy);
+  }
+  pool.set_fault_injector(&injector);
   KernelController kernel(pool, kernel_config);
   Status mounted = kernel.Mount();
   if (!mounted.ok()) {
@@ -131,6 +136,7 @@ ScheduleExplorer::RunOutcome ScheduleExplorer::RunSchedule(const TenantScript& a
   fs_b.reset();
   fs_a.reset();
   pool.StopFenceRecording();
+  pool.set_fault_injector(nullptr);
 
   const size_t fences = pool.RecordedFenceCount();
   stats_.fences_recorded.fetch_add(fences, std::memory_order_relaxed);

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/remount.h"
 
 namespace trio {
@@ -55,11 +56,14 @@ struct ScheduleExplorerOptions {
   // Crash points per schedule: 0 = every fence; otherwise an evenly spaced sample
   // (first/last kept, truncation counted in stats().sampled_out).
   size_t max_crash_points = 0;
-  // Kernel config for the WORKLOAD phase (e.g. canary_leak_on_contended_transfer for the
-  // planted-bug acceptance test). guard_callbacks is forced off during schedule execution
-  // so revocations run inline on the stepping thread — fully deterministic. Recovery
-  // boots always use a default config.
+  // Kernel config for the WORKLOAD phase. guard_callbacks is forced off during schedule
+  // execution so revocations run inline on the stepping thread — fully deterministic.
+  // Recovery boots always use a default config.
   KernelConfig kernel_config;
+  // Fault points armed on each schedule's workload pool (e.g.
+  // kFaultKernelLeakOnRevokedTransfer for the planted-bug acceptance test). Every run
+  // gets a fresh injector seeded from `seed`, so a schedule replays the same firings.
+  std::vector<ArmedFault> faults;
   // ArckFs configs for the two tenants (uid/gid, page_batch, ...).
   ArckFsConfig tenant_a;
   ArckFsConfig tenant_b;

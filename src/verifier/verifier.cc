@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "src/common/hash.h"
 
@@ -280,6 +281,17 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
   std::unordered_set<std::string> names;  // Hash set alone could false-positive; keep exact.
   std::unordered_set<Ino> child_inos;
   std::unordered_map<Ino, bool> present;  // ino -> seen (for removed-children diff).
+  // Dirent location of each child at checkpoint time. A child is an existing, untouched
+  // child only if its dirent is still where the checkpoint saw it. One the kernel files
+  // under this directory but that sits elsewhere was renamed within the session, or
+  // left in an earlier session (a pending orphan) and came back: it is classified as
+  // moved in, so the kernel re-adopts it and records its new dirent location.
+  std::unordered_map<Ino, std::pair<PageNumber, size_t>> at_checkpoint;
+  if (request.checkpoint_children != nullptr) {
+    for (const CheckpointChild& child : *request.checkpoint_children) {
+      at_checkpoint[child.ino] = {child.dirent_page, child.dirent_slot};
+    }
+  }
 
   Status scan = ForEachDirent(
       pool_, dir.first_index_page,
@@ -303,7 +315,11 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
 
         const InoState state = ownership_.StateOfIno(entry->ino);
         if (state.state == ResourceState::kOwned) {
-          if (state.parent == request.ino) {
+          auto seen = at_checkpoint.find(entry->ino);
+          const bool untouched =
+              request.checkpoint_children == nullptr ||
+              (seen != at_checkpoint.end() && seen->second == std::make_pair(page, slot));
+          if (state.parent == request.ino && untouched) {
             // Existing child: I4 cached-permission check.
             const ShadowInode* shadow = ShadowInodeOf(pool_, entry->ino);
             if (shadow == nullptr || !shadow->Exists()) {
@@ -316,7 +332,8 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
                                 "child cached permission differs from shadow inode");
             }
           } else {
-            // Owned by another directory: only legal as a rename performed by this writer.
+            // Owned by another directory, or renamed within or back into this one: only
+            // legal as a rename performed by this writer.
             if (!env_.IsMovePermitted(entry->ino, request.ino, request.writer)) {
               return VerifyFail(VerifyErrorClass::kCrossDirectory, "I2",
                                 "child inode belongs to another directory");

@@ -40,10 +40,13 @@ namespace trio {
 // verifier retries the whole verification (bounded) before reporting kMediaFailure.
 inline constexpr const char kFaultVerifierMediaRead[] = "verifier.media_read";
 
-// What the kernel remembers about a directory's children at checkpoint time (I3 input).
+// What the kernel remembers about a directory's children at checkpoint time (I3 input,
+// and where each child's dirent was, to tell an untouched child from a renamed one).
 struct CheckpointChild {
   Ino ino = kInvalidIno;
   bool is_dir = false;
+  PageNumber dirent_page = 0;
+  size_t dirent_slot = 0;
 };
 
 // A freshly created file discovered during directory verification.

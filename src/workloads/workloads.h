@@ -171,7 +171,7 @@ class FilebenchWorkload {
 // drive the sharded controller: shared-file reads hit the lock-free grant fast path,
 // private writes churn leases in the owner's shard, and the renames force two-phase
 // cross-shard acquisitions plus write-map revocation of every reader of the shared
-// directory. Per-shard costs measured under this workload feed sim::ExtrapolateFleet.
+// directory.
 struct FleetConfig {
   int tenants = 64;
   int shared_files = 128;   // Zipfian-shared pool under /fleet_shared.

@@ -8,6 +8,16 @@
 //   * UncooperativeHolderIsForceReleasedAfterCompletedRevoke — the kernel-side half of
 //     the same bug: a completed revoke that does not dislodge the holder must escalate
 //     to ForceRelease instead of re-issuing callbacks past the lease deadline.
+//   * RenameChurnNeverForcesCooperatingHolders — tenants on real threads renaming
+//     their private files through one shared directory revoke each other constantly;
+//     a holder that answers its revoke must never be force-released (that rolled back
+//     committed renames and lost files).
+//   * FileRenamedBackIntoDirectorySurvivesTeardown — a file renamed out of a directory
+//     and back again across two verifications of it was left a pending orphan, and the
+//     owner's teardown reclaimed it while the directory still named it.
+//   * RenameWithinOneSessionKeepsChildDirentLocation — a child renamed away and back
+//     within one write session of its directory kept a stale dirent location in the
+//     kernel, so its next verification read (and rolled back) a neighbour's dirent.
 //   * StaleGrantInvalidatedOnChmod — the seqlock grant cache must not serve a grant
 //     that a permission change has revoked (write-through invalidation on Chmod).
 //   * RequarantineKeepsEvictionOrder — the O(1) FIFO quarantine eviction must skip
@@ -27,6 +37,7 @@
 #include "src/core/core_state.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
+#include "src/verifier/fsck.h"
 #include "src/workloads/workloads.h"
 #include "tests/test_seed.h"
 
@@ -223,6 +234,181 @@ TEST_F(FleetTest, UncooperativeHolderIsForceReleasedAfterCompletedRevoke) {
   TRIO_CHECK_OK(reader.Close(*rfd));
   EXPECT_GE(kernel_->stats().forced_releases.load(), 1u);
   kernel_->UnregisterLibFs(squatter);
+}
+
+// ---- Regression: rename churn never forces a cooperating holder ----
+
+TEST_F(FleetTest, RenameChurnNeverForcesCooperatingHolders) {
+  Build(8);
+  FleetConfig config;
+  config.tenants = 8;
+  config.shared_files = 8;
+  config.write_permille = 250;
+  config.rename_permille = 250;  // Every rename write-maps the shared directory.
+  config.seed = TestSeed();
+  auto fleet = std::make_unique<FleetWorkload>(*kernel_, config);
+  ASSERT_TRUE(fleet->Prepare().ok());
+
+  // Each thread drives a fixed, disjoint set of tenants. A rename is the one op that
+  // moves neither read nor written bytes, which is how each thread tracks where its
+  // tenants' private files are.
+  constexpr int kThreads = 4;
+  constexpr uint64_t kOpsPerTenant = 1500;
+  std::vector<char> in_shared(static_cast<size_t>(config.tenants), 0);
+  std::atomic<int> failures{0};
+  std::vector<Status> first_failure(kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kOpsPerTenant; ++i) {
+        for (int t = w; t < config.tenants; t += kThreads) {
+          const WorkloadStats before = fleet->stats(t);
+          Status status = fleet->Op(t, i);
+          if (!status.ok()) {
+            failures.fetch_add(1);
+            if (first_failure[w].ok()) {
+              first_failure[w] = status;
+            }
+            continue;
+          }
+          const WorkloadStats& after = fleet->stats(t);
+          if (after.bytes_read == before.bytes_read &&
+              after.bytes_written == before.bytes_written) {
+            in_shared[static_cast<size_t>(t)] ^= 1;
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  std::string detail;
+  for (const Status& status : first_failure) {
+    if (!status.ok()) {
+      detail = status.ToString();
+    }
+  }
+  EXPECT_EQ(failures.load(), 0) << detail;
+
+  // Every revoke callback completed, so no holder was unresponsive: the kernel had no
+  // cause to force a release, and so none of a holder's committed renames was rolled
+  // back.
+  const KernelStats& stats = kernel_->stats();
+  ASSERT_EQ(stats.callback_timeouts.load(), 0u);
+  EXPECT_EQ(stats.forced_releases.load(), 0u);
+  EXPECT_EQ(stats.verify_failures.load(), 0u);
+  EXPECT_GT(stats.revocations.load(), 0u);
+
+  for (int t = 0; t < config.tenants; ++t) {
+    const std::string home = "/fleet_t" + std::to_string(t) + "/work";
+    const std::string away = "/fleet_shared/t" + std::to_string(t) + "_work";
+    const bool shared = in_shared[static_cast<size_t>(t)] != 0;
+    ArckFs& owner = fleet->tenant(t);
+    Result<Fd> fd = owner.Open(shared ? away : home, OpenFlags::ReadWrite());
+    ASSERT_TRUE(fd.ok()) << "tenant " << t << ": " << fd.status().ToString();
+    TRIO_CHECK_OK(owner.Close(*fd));
+    EXPECT_TRUE(owner.Stat(shared ? home : away).status().Is(ErrorCode::kNotFound))
+        << "tenant " << t;
+  }
+
+  // Teardown verifies every tenant's open write sessions; the final image must be
+  // clean and still hold every file.
+  fleet.reset();
+  Result<FsckReport> report = RunFsck(*pool_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const FsckProblem& problem : report->problems) {
+    ADD_FAILURE() << problem.invariant << " ino " << problem.ino << ": " << problem.detail;
+  }
+  EXPECT_EQ(report->regular_files,
+            static_cast<uint64_t>(config.tenants + config.shared_files));
+}
+
+// ---- Canary: a file renamed back into the directory it left stays live ----
+
+TEST_F(FleetTest, FileRenamedBackIntoDirectorySurvivesTeardown) {
+  Build(8);
+  auto mover = std::make_unique<ArckFs>(*kernel_);
+  ArckFs observer(*kernel_);
+  TRIO_CHECK_OK(mover->Mkdir("/home"));
+  TRIO_CHECK_OK(mover->Mkdir("/shared"));
+  Result<Fd> fd = mover->Open("/home/f", OpenFlags::CreateTrunc());
+  TRIO_CHECK(fd.ok());
+  TRIO_CHECK(mover->Pwrite(*fd, "kept", 4, 0).ok());
+  TRIO_CHECK_OK(mover->Close(*fd));
+
+  // The observer's lookup in /shared revokes the mover's write grant on it, so the
+  // kernel verifies /shared after every rename, while /home stays write-mapped by the
+  // mover throughout. The second verification files `f` as a pending orphan of the
+  // mover; the third finds it back in /shared, where the kernel still files it.
+  for (const auto& [from, to] : {std::pair<const char*, const char*>{"/home/f", "/shared/f"},
+                                 {"/shared/f", "/home/f"},
+                                 {"/home/f", "/shared/f"}}) {
+    ASSERT_TRUE(mover->Rename(from, to).ok()) << from << " -> " << to;
+    (void)observer.Stat("/shared/f");
+  }
+  // Unregistering verifies /home and resolves the mover's orphans: `f` must not be
+  // reclaimed as deleted while /shared still names it.
+  mover.reset();
+
+  Result<Fd> rfd = observer.Open("/shared/f", OpenFlags::ReadOnly());
+  ASSERT_TRUE(rfd.ok()) << rfd.status().ToString();
+  char buffer[4];
+  Result<size_t> n = observer.Pread(*rfd, buffer, sizeof(buffer), 0);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(std::string(buffer, *n), "kept");
+  TRIO_CHECK_OK(observer.Close(*rfd));
+  Result<FsckReport> report = RunFsck(*pool_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const FsckProblem& problem : report->problems) {
+    ADD_FAILURE() << problem.invariant << " ino " << problem.ino << ": " << problem.detail;
+  }
+}
+
+// ---- Canary: a file renamed away and back in one session keeps its own dirent ----
+
+TEST_F(FleetTest, RenameWithinOneSessionKeepsChildDirentLocation) {
+  Build(8);
+  auto mover = std::make_unique<ArckFs>(*kernel_);
+  ArckFs observer(*kernel_);
+  TRIO_CHECK_OK(mover->Mkdir("/home"));
+  TRIO_CHECK_OK(mover->Mkdir("/shared"));
+  auto write_file = [&](const char* path, const std::string& data) {
+    Result<Fd> fd = mover->Open(path, OpenFlags::CreateTrunc());
+    TRIO_CHECK(fd.ok());
+    TRIO_CHECK(mover->Pwrite(*fd, data.data(), data.size(), 0).ok());
+    TRIO_CHECK_OK(mover->Close(*fd));
+  };
+  write_file("/shared/a", "aaaa");
+  write_file("/shared/f", "ffff");
+  (void)observer.Stat("/shared/f");  // The kernel verifies /shared and files f's dirent.
+
+  // In ONE write session of /shared: f leaves, g takes a dirent slot, f comes back in
+  // another slot. f is in /shared at both ends of the session, but its dirent moved;
+  // the kernel must learn the new location, or f's next verification reads g's dirent.
+  ASSERT_TRUE(mover->Rename("/shared/f", "/home/f").ok());
+  write_file("/shared/g", "gggggggg");
+  ASSERT_TRUE(mover->Rename("/home/f", "/shared/f").ok());
+  (void)observer.Stat("/shared/f");
+
+  Result<Fd> fd = mover->Open("/shared/f", OpenFlags::ReadWrite());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ASSERT_TRUE(mover->Pwrite(*fd, "FFFF", 4, 4).ok());
+  TRIO_CHECK_OK(mover->Close(*fd));
+  mover.reset();  // Verifies f's write session and every other one.
+
+  EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
+  for (const auto& [path, size] : {std::pair<const char*, uint64_t>{"/shared/f", 8},
+                                   {"/shared/g", 8}}) {
+    Result<StatInfo> info = observer.Stat(path);
+    ASSERT_TRUE(info.ok()) << path << ": " << info.status().ToString();
+    EXPECT_EQ(info->size, size) << path;
+  }
+  Result<FsckReport> report = RunFsck(*pool_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const FsckProblem& problem : report->problems) {
+    ADD_FAILURE() << problem.invariant << " ino " << problem.ino << ": " << problem.detail;
+  }
 }
 
 // ---- Canary: Chmod write-through on the seqlock grant cache ----

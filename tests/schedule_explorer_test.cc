@@ -1,11 +1,11 @@
 // Multi-tenant schedule exploration: two LibFS instances race on a shared file under
 // seeded PCT-style interleavings, with a crash materialized at every fence of every
-// schedule. The acceptance gate for the explorer is a planted cross-tenant bug: a
-// test-only kernel flag (canary_leak_on_contended_transfer) double-frees a page during
-// contended ownership transfers. With the flag on, the explorer must find a failing
+// schedule. The acceptance gate for the explorer is a planted cross-tenant bug: the
+// FaultSim point kFaultKernelLeakOnRevokedTransfer double-frees a page during ownership
+// transfers that answer a revoke. With the point armed, the explorer must find a failing
 // interleaving, shrink it, and the shrunken schedule must replay to the same verdict
 // from nothing but its bit-vector; the no-preemption baselines stay clean (the bug needs
-// contention). With the flag off, a full sweep passes clean.
+// contention). With nothing armed, a full sweep passes clean.
 
 #include "src/sim/schedule_explorer.h"
 
@@ -124,7 +124,7 @@ TEST(ScheduleExplorerTest, CleanKernelSweepsClean) {
 
 TEST(ScheduleExplorerTest, PlantedCanaryFoundMinimizedAndReplayable) {
   ScheduleExplorerOptions options = BaseOptions();
-  options.kernel_config.canary_leak_on_contended_transfer = true;
+  options.faults.push_back({kFaultKernelLeakOnRevokedTransfer, FaultPolicy::Always()});
   options.schedules = 24;  // Enough seeded interleavings to hit a contended transfer.
   ScheduleExplorer explorer(options);
 
@@ -155,8 +155,8 @@ TEST(ScheduleExplorerTest, PlantedCanaryFoundMinimizedAndReplayable) {
       replayer.Replay(TenantA(), TenantB(), failure.schedule);
   EXPECT_NE(replayed.fence, SIZE_MAX - 1) << "minimized schedule no longer fails";
 
-  // Both zero-preemption baselines stay clean with the canary armed: the flag is
-  // invisible without cross-tenant contention.
+  // Both zero-preemption baselines stay clean with the canary armed: the fault point is
+  // never reached without cross-tenant contention.
   EXPECT_EQ(replayer.Replay(a, b, all_a_then_b).fence, SIZE_MAX - 1);
   EXPECT_EQ(replayer.Replay(a, b, all_b_then_a).fence, SIZE_MAX - 1);
 }
