@@ -34,10 +34,11 @@ explorer_filter='FaultSimKernelTest.*:CrashExplorerTest.AppendHeavyWorkloadClean
 # two-thread ring in isolation.
 ring_filter='OpRingTest.*'
 spsc_filter='SpscRingTest.*'
-# Schedule explorer smoke: determinism + a full clean sweep (both tenants, crash points);
-# fuzz smoke: one seed variant of every corruption class plus the verifier/quarantine
-# bounds tests.
-schedule_filter='ScheduleExplorerTest.GeneratorIsDeterministicAndBounded:ScheduleExplorerTest.CleanKernelSweepsClean'
+# Schedule explorer: the whole suite (determinism, a full clean sweep, and the planted
+# canary hunt with its replays) — every revoke in it crosses to the watchdog helper
+# thread. Fuzz smoke: one seed variant of every corruption class plus the
+# verifier/quarantine bounds tests.
+schedule_filter='ScheduleExplorerTest.*'
 fuzz_filter='*FuzzCorpusTest*_v0:VerifierBoundsTest.*:QuarantineBoundsTest.*'
 # Fleet suite: 64 tenants over the sharded controller, concurrent cross-shard renames,
 # the 4-thread rename churn that must never force a cooperating holder

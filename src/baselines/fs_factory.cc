@@ -1,26 +1,10 @@
 #include "src/baselines/fs_factory.h"
 
-#include <cstdlib>
-
 #include "src/core/core_state.h"
 #include "src/fpfs/fpfs.h"
 #include "src/kvfs/kvfs.h"
 
 namespace trio {
-
-FsFactoryOptions ApplyRingEnv(FsFactoryOptions options) {
-  if (const char* enable = std::getenv("TRIO_RING_ENABLE")) {
-    options.ring_enable = std::strtoul(enable, nullptr, 10) != 0;
-  }
-  if (const char* depth = std::getenv("TRIO_RING_DEPTH")) {
-    const size_t value = std::strtoul(depth, nullptr, 10);
-    if (value > 0) {
-      options.ring_depth = value;
-      options.ring_enable = true;
-    }
-  }
-  return options;
-}
 
 std::unique_ptr<FsInterface> FsInstance::MakeSecondLibFs() {
   TRIO_CHECK(kernel != nullptr) << "second LibFS requires a Trio-based instance";
@@ -40,9 +24,6 @@ FsInstance MakeTrio(const std::string& name, const FsFactoryOptions& options) {
   format.num_nodes = options.numa_nodes;
   TRIO_CHECK_OK(Format(*out.pool, format));
   KernelConfig config;
-  if (options.delegate_read_threshold != 0) {
-    config.delegation.read_threshold = options.delegate_read_threshold;
-  }
   if (options.delegate_write_threshold != 0) {
     config.delegation.write_threshold = options.delegate_write_threshold;
   }
@@ -53,10 +34,6 @@ FsInstance MakeTrio(const std::string& name, const FsFactoryOptions& options) {
   if (name == "ArckFS" && options.arckfs_delegation) {
     out.kernel->StartDelegation();
     fs_config.use_delegation = true;
-  }
-  fs_config.ring.enabled = options.ring_enable;
-  if (options.ring_depth != 0) {
-    fs_config.ring.depth = options.ring_depth;
   }
   if (name == "ArckFS" || name == "ArckFS-nd") {
     out.fs = std::make_unique<ArckFs>(*out.kernel, fs_config);
@@ -122,11 +99,7 @@ FsInstance MakeBaseline(const std::string& name, const FsFactoryOptions& options
 
 FsInstance MakeFs(const std::string& name, const FsFactoryOptions& options) {
   if (name == "ArckFS" || name == "ArckFS-nd" || name == "FPFS" || name == "KVFS") {
-    FsFactoryOptions adjusted = ApplyRingEnv(options);
-    if (name == "ArckFS") {
-      adjusted.arckfs_delegation = options.arckfs_delegation;
-    }
-    return MakeTrio(name, adjusted);
+    return MakeTrio(name, options);
   }
   return MakeBaseline(name, options);
 }

@@ -29,20 +29,10 @@ struct FsFactoryOptions {
   int numa_nodes = 1;
   int delegation_threads_per_node = 2;
   bool arckfs_delegation = false;  // "ArckFS" vs "ArckFS-nd" configurations.
-  // 0 = DelegationConfig defaults (§4.5). Nonzero values let benches sweep thresholds.
-  size_t delegate_read_threshold = 0;
+  // 0 = DelegationConfig default (§4.5). Nonzero values let benches sweep the threshold.
   size_t delegate_write_threshold = 0;
   uint64_t vfs_trap_cost_ns = 0;   // Modeled syscall cost for kernel baselines.
-  // Async op rings (Trio systems only). Both are overridable without recompiling:
-  // TRIO_RING_ENABLE=0/1 forces the ring off/on, TRIO_RING_DEPTH=<pow2> sets the depth
-  // (and implies enable) — the same env plumbing pattern as the delegation knobs.
-  bool ring_enable = false;
-  size_t ring_depth = 0;  // 0 = OpRingConfig default.
 };
-
-// `options` after applying the TRIO_RING_* environment overrides (exposed so benches can
-// report the effective configuration).
-FsFactoryOptions ApplyRingEnv(FsFactoryOptions options);
 
 // Names: "ArckFS", "ArckFS-nd", "KVFS", "FPFS",
 //        "ext4", "PMFS", "NOVA", "WineFS", "OdinFS", "SplitFS", "Strata".

@@ -25,9 +25,17 @@ namespace trio {
 
 using controller_internal::PackStateLessee;
 using controller_internal::UnpackStateLessee;
+using controller_internal::VerifyDeadline;
 using controller_internal::WmapSlots;
 
 thread_local uint64_t ShardRank::held_mask_ = 0;
+
+namespace {
+
+// Slots per lock-free seqlock cache. Direct-mapped; collisions only cost fast-path misses.
+constexpr size_t kOwnershipCacheSlots = 4096;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // PageOwnershipTable
@@ -127,14 +135,11 @@ KernelController::KernelController(NvmPool& pool, KernelConfig config, Clock* cl
     shards_.push_back(std::make_unique<Shard>());
   }
   shard_mask_ = cap - 1;
-  const size_t cache_slots = config_.lockfree_lookup ? config_.ownership_cache_slots : 0;
+  const size_t cache_slots = config_.lockfree_lookup ? kOwnershipCacheSlots : 0;
   page_table_.Reset(cap, cache_slots);
   ino_cache_.Reset(cache_slots);
   grant_cache_.Reset(cache_slots);
   verifier_ = std::make_unique<IntegrityVerifier>(pool_, *this, *this, clock_);
-  if (config_.start_delegation) {
-    StartDelegation();
-  }
   // Digestion starts at Mount(), not here: its occupancy/cold scans read state the
   // mount rescan builds (file_region_pages_, the record tables).
 }
@@ -391,19 +396,15 @@ Status KernelController::RunRecovery() {
   }
   bool program_timed_out = false;
   for (auto& program : programs) {
-    if (config_.guard_callbacks) {
-      // Recovery programs are arbitrary user code; one that never returns must not wedge
-      // recovery for everyone. On timeout the program's journal state is unknown, so
-      // coverage escalates below to verifying every file, not just the logged ones.
-      if (!callback_guard_.Run(config_.recovery_timeout_ms, program)) {
-        stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
-        program_timed_out = true;
-        TRIO_LOG(kWarn) << "recovery: a LibFS recovery program overran "
-                        << config_.recovery_timeout_ms
-                        << "ms and was abandoned; escalating to full-tree verification";
-      }
-    } else {
-      program();
+    // Recovery programs are arbitrary user code; one that never returns must not wedge
+    // recovery for everyone. On timeout the program's journal state is unknown, so
+    // coverage escalates below to verifying every file, not just the logged ones.
+    if (!callback_guard_.Run(config_.recovery_timeout_ms, program)) {
+      stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
+      program_timed_out = true;
+      TRIO_LOG(kWarn) << "recovery: a LibFS recovery program overran "
+                      << config_.recovery_timeout_ms
+                      << "ms and was abandoned; escalating to full-tree verification";
     }
   }
 
@@ -454,9 +455,7 @@ Status KernelController::RunRecovery() {
       const ShadowInode* shadow = ShadowInodeOf(pool_, ino);
       request.writer_uid = shadow != nullptr ? shadow->uid : 0;
       request.writer_gid = shadow != nullptr ? shadow->gid : 0;
-      if (config_.verify_timeout_ms != 0) {
-        request.deadline_ns = NowNs() + config_.verify_timeout_ms * 1000000ull;
-      }
+      request.deadline_ns = VerifyDeadline(config_, NowNs());
     }
     Result<VerifyReport> report = verifier_->Verify(request);
     stats_.verifications.fetch_add(1, std::memory_order_relaxed);

@@ -74,20 +74,16 @@ struct TierConfig {
   size_t batch_pages = 32;         // Pages migrated per digest batch (one fence each).
   bool start_digestion = false;    // Spin up the background digestion thread.
   uint64_t scan_interval_ms = 2;   // Background thread poll period.
-  // Only files whose last grant ended at least this long ago are digestible.
-  uint64_t min_idle_ns = 0;
 };
 
 struct KernelConfig {
   uint64_t lease_ms = 100;        // §6.5: "ArckFS's 100ms lease time".
   uint64_t fix_timeout_ms = 10;   // Deadline for a LibFS to fix its own corruption.
-  // Run untrusted LibFS callbacks (fix_corruption, recovery, revoke) under a deadline
-  // watchdog (CallbackGuard). A callback that overruns is abandoned and the kernel
-  // escalates: failed fix -> quarantine + checkpoint rollback; hung recovery program ->
-  // verify every file (its journal state is unknown); hung revoke past the lease
-  // deadline -> forced release. Off = trust every callback to return (the pre-FaultSim
-  // behavior, with no helper-thread hop on the revoke path).
-  bool guard_callbacks = true;
+  // Every untrusted LibFS callback (fix_corruption, quarantined, recovery, revoke) runs
+  // under the deadline watchdog (CallbackGuard). A callback that overruns is abandoned
+  // and the kernel escalates: failed fix -> quarantine + checkpoint rollback; hung
+  // recovery program -> verify every file (its journal state is unknown); hung revoke
+  // past the lease deadline plus revoke_grace_ms -> forced release.
   uint64_t recovery_timeout_ms = 1000;  // Deadline for one LibFS recovery program.
   // Budget for one integrity verification (0 = unbounded). Enforced cooperatively inside
   // the verifier's walks (see VerifyRequest::deadline_ns); an overrun is treated exactly
@@ -99,9 +95,8 @@ struct KernelConfig {
   // Extra wall-clock grace past the lease deadline before an unresponsive holder's
   // mapping is reclaimed by force.
   uint64_t revoke_grace_ms = 50;
-  bool start_delegation = false;  // Spin up delegation threads at construction.
-  // Thresholds, ring sizing, spin/park and stealing knobs for the delegation pool
-  // (§4.5); benchmarks sweep these through here.
+  // Thresholds, threads, spin/park and stealing knobs for the delegation pool (§4.5),
+  // started by StartDelegation(); benchmarks sweep these through here.
   DelegationConfig delegation;
   // Controller shards (rounded up to a power of two, clamped to [1, 64]). 1 reproduces
   // the legacy one-big-mutex controller; the fleet bench gates 8 > 1.
@@ -110,9 +105,6 @@ struct KernelConfig {
   // syscall boundary. Off = every lookup goes through the shard/stripe mutexes (the
   // legacy read path; the fleet bench's 1-shard baseline).
   bool lockfree_lookup = true;
-  // Slots per seqlock cache (rounded up to a power of two). Direct-mapped; collisions
-  // only cost fast-path misses.
-  size_t ownership_cache_slots = 4096;
   // NVM absorb tier / slow-backend digestion (DESIGN.md §4.11).
   TierConfig tier;
 };
@@ -522,9 +514,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
   void ResolveOrphans(const std::shared_ptr<LibFsRecord>& libfs);
 
   // ---- tiering internals (digestion.cc) ----
-  // Cold-file scan: files with no writer, no readers, not busy, idle past min_idle_ns,
-  // with NVM data pages left to migrate; coldest (smallest last_use_ns) first. Each
-  // shard is scanned under its own lock, one at a time.
+  // Cold-file scan: files with no writer, no readers, not busy, with NVM data pages left
+  // to migrate; coldest (smallest last_use_ns) first. Each shard is scanned under its own
+  // lock, one at a time.
   std::vector<Ino> CollectDigestCandidates(size_t max_files);
   // Migrates up to `max_pages` data pages of `ino` to the backend (one fence for the
   // whole batch). Pins the record busy while copying OUTSIDE the shard lock, exactly

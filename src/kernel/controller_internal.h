@@ -27,6 +27,11 @@ inline bool AccessAllowed(const ShadowInode& shadow, uint32_t uid, uint32_t gid,
   return write ? (bits & 2) != 0 : (bits & 4) != 0;
 }
 
+// Absolute verifier deadline for one verification pass, from the config budget.
+inline uint64_t VerifyDeadline(const KernelConfig& config, uint64_t now_ns) {
+  return config.verify_timeout_ms == 0 ? 0 : now_ns + config.verify_timeout_ms * 1000000ull;
+}
+
 inline size_t WmapSlots(const NvmPool& pool) {
   return SuperblockOf(pool)->wmap_log_pages * kPageSize / sizeof(uint64_t);
 }

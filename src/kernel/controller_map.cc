@@ -315,24 +315,20 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
       continue;
     }
 
-    // Ask the holder to release. Under guard_callbacks the holder is trusted to
-    // cooperate only until its lease expires: the callback is abandoned once it overruns
-    // the lease deadline plus grace, so an unresponsive holder cannot stall a mapper.
+    // Ask the holder to release. The holder is trusted to cooperate only until its lease
+    // expires: the callback is abandoned once it overruns the lease deadline plus grace,
+    // so an unresponsive holder cannot stall a mapper.
     ShardRank::AssertNoneHeld();
     stats_.revocations.fetch_add(1, std::memory_order_relaxed);
-    if (!config_.guard_callbacks) {
-      revoke(ino);  // Synchronous: the holder unmaps (verify runs on this path).
-    } else {
-      const uint64_t now = NowNs();
-      const uint64_t remaining_ms =
-          lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
-      const Ino revoke_ino = ino;
-      if (!callback_guard_.Run(remaining_ms + config_.revoke_grace_ms,
-                               [revoke, revoke_ino] { revoke(revoke_ino); })) {
-        stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
-        TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << conflict
-                        << " overran the lease deadline; forcing release";
-      }
+    const uint64_t now = NowNs();
+    const uint64_t remaining_ms =
+        lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
+    const Ino revoke_ino = ino;
+    if (!callback_guard_.Run(remaining_ms + config_.revoke_grace_ms,
+                             [revoke, revoke_ino] { revoke(revoke_ino); })) {
+      stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
+      TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << conflict
+                      << " overran the lease deadline; forcing release";
     }
     // The one revocation rule: a holder that still holds the very grant generation we
     // revoked ignored the revoke (or overran it) and is released by force. A moved

@@ -22,14 +22,7 @@
 
 namespace trio {
 
-namespace {
-
-// Absolute verifier deadline for one verification pass, from the config budget.
-uint64_t VerifyDeadline(const KernelConfig& config, uint64_t now_ns) {
-  return config.verify_timeout_ms == 0 ? 0 : now_ns + config.verify_timeout_ms * 1000000ull;
-}
-
-}  // namespace
+using controller_internal::VerifyDeadline;
 
 Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
   SyscallScope syscall(stats_, "CommitFile");
@@ -137,26 +130,20 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   auto fix = me->callbacks.fix_corruption;
   if (fix) {
     const uint64_t deadline = NowNs() + config_.fix_timeout_ms * 1000000ull;
-    bool claims_fixed = false;
-    if (config_.guard_callbacks) {
-      // fix_timeout_ms is a real deadline, not an honor-system check: the callback runs
-      // on a watchdog thread and a hang is abandoned, escalating to rollback below. The
-      // result lives in a shared_ptr because an abandoned callback may write it late.
-      auto claimed = std::make_shared<std::atomic<bool>>(false);
-      const bool completed =
-          callback_guard_.Run(config_.fix_timeout_ms, [fix, ino, failure, claimed] {
-            claimed->store(fix(ino, failure), std::memory_order_release);
-          });
-      if (!completed) {
-        stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
-        TRIO_LOG(kWarn) << "fix_corruption for ino " << ino
-                        << " hung past fix_timeout_ms; rolling back to checkpoint";
-      }
-      claims_fixed = completed && claimed->load(std::memory_order_acquire);
-    } else {
-      claims_fixed = fix(ino, failure);
+    // fix_timeout_ms is a real deadline, not an honor-system check: the callback runs on
+    // a watchdog thread and a hang is abandoned, escalating to rollback below. The result
+    // lives in a shared_ptr because an abandoned callback may write it late.
+    auto claimed = std::make_shared<std::atomic<bool>>(false);
+    const bool completed =
+        callback_guard_.Run(config_.fix_timeout_ms, [fix, ino, failure, claimed] {
+          claimed->store(fix(ino, failure), std::memory_order_release);
+        });
+    if (!completed) {
+      stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
+      TRIO_LOG(kWarn) << "fix_corruption for ino " << ino
+                      << " hung past fix_timeout_ms; rolling back to checkpoint";
     }
-    if (claims_fixed && NowNs() <= deadline) {
+    if (completed && claimed->load(std::memory_order_acquire) && NowNs() <= deadline) {
       {
         // Re-read the dirent location: a concurrent parent reconcile may have moved it.
         ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
@@ -199,13 +186,9 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   auto notify = me->callbacks.quarantined;
   if (notify) {
     ShardRank::AssertNoneHeld();
-    if (config_.guard_callbacks) {
-      if (!callback_guard_.Run(config_.fix_timeout_ms,
-                               [notify, ino, failure] { notify(ino, failure); })) {
-        stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      notify(ino, failure);
+    if (!callback_guard_.Run(config_.fix_timeout_ms,
+                             [notify, ino, failure] { notify(ino, failure); })) {
+      stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return failure;

@@ -13,6 +13,10 @@ namespace {
 constexpr size_t kWorkerPopBatch = 8;
 // Requests never exceed this, so uint32_t len always fits even for giant batch spans.
 constexpr size_t kMaxRequestBytes = size_t{1} << 30;
+// Per-node ring slots. A submitter that finds the ring full wakes the workers and retries.
+constexpr size_t kRingCapacity = 1024;
+// Base spin backoff before a faulted chunk re-enters the ring; doubles per attempt.
+constexpr uint32_t kFaultBackoffSpins = 32;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -26,7 +30,7 @@ DelegationPool::DelegationPool(NvmPool& pool, DelegationConfig config)
                           : pool.topology().delegation_threads_per_node;
   nodes_.reserve(num_nodes_);
   for (int n = 0; n < num_nodes_; ++n) {
-    nodes_.push_back(std::make_unique<NodeState>(config_.ring_capacity));
+    nodes_.push_back(std::make_unique<NodeState>(kRingCapacity));
   }
   workers_.reserve(static_cast<size_t>(num_nodes_) * threads_per_node_);
   for (int n = 0; n < num_nodes_; ++n) {
@@ -142,7 +146,7 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
       DelegationRequest retry = request;
       ++retry.attempts;
       // Exponential backoff before the chunk re-enters the ring.
-      const uint32_t spins = config_.fault_backoff_spins << retry.attempts;
+      const uint32_t spins = kFaultBackoffSpins << retry.attempts;
       for (uint32_t i = 0; i < spins; ++i) {
         CpuRelax();
       }

@@ -7,7 +7,6 @@
 
 #include "src/libfs/arckfs.h"
 
-#include <algorithm>
 #include <atomic>
 
 #include "src/libfs/arckfs_internal.h"
@@ -32,6 +31,13 @@ Result<PageNumber> AllocZeroedPage(LeaseCache& leases, NvmPool& pool,
 
 }  // namespace arckfs_internal
 
+namespace {
+
+// Undo journals per LibFS; a thread's renames log into the shard its thread index picks.
+constexpr size_t kJournalShards = 4;
+
+}  // namespace
+
 LibFsId ArckFs::RegisterWithKernel(KernelController& kernel, const ArckFsConfig& config) {
   LibFsOptions options;
   options.uid = config.uid;
@@ -51,8 +57,7 @@ ArckFs::ArckFs(KernelController& kernel, ArckFsConfig config)
       config_(std::move(config)),
       libfs_(RegisterWithKernel(kernel, config_)),
       leases_(kernel, libfs_, config_.page_batch, config_.ino_batch),
-      promote_cache_(kernel.pool(), config_.promote_cache_slots,
-                     config_.promote_cache_shards) {
+      promote_cache_(kernel.pool(), config_.promote_cache_slots) {
   Superblock* sb = SuperblockOf(pool_);
   GetOrCreateNode(kRootIno, kInvalidIno, /*is_dir=*/true, &sb->root);
   if (config_.ring.enabled) {
@@ -114,7 +119,7 @@ UndoJournal& ArckFs::JournalShard() {
   {
     std::lock_guard<std::mutex> guard(journal_init_mutex_);
     if (journals_.empty()) {
-      for (size_t i = 0; i < std::max<size_t>(1, config_.journal_shards); ++i) {
+      for (size_t i = 0; i < kJournalShards; ++i) {
         Result<PageNumber> page = leases_.AllocPage(0);
         TRIO_CHECK(page.ok()) << "cannot allocate journal page";
         journals_.push_back(

@@ -51,16 +51,11 @@ struct ArckFsConfig {
   bool use_delegation = false;
   size_t page_batch = 64;
   size_t ino_batch = 64;
-  size_t journal_shards = 4;
   // §4.4: "Extending the LibFS to support other consistency modes is simple by following
   // the prior approaches." sync_data=false is the relaxed-data mode: data writes skip the
   // per-write flush and become durable at fsync/release; metadata stays synchronous and
   // atomic.
   bool sync_data = true;
-  // Per-LibFS overrides of the delegation size thresholds (§4.5). 0 = inherit the
-  // kernel delegation pool's DelegationConfig values.
-  size_t delegate_read_threshold = 0;
-  size_t delegate_write_threshold = 0;
   // Journal pages from a previous incarnation to undo during crash recovery (§4.4). The
   // application persists these page numbers across restarts (in a real deployment the
   // LibFS would stash them in a well-known private file).
@@ -74,7 +69,6 @@ struct ArckFsConfig {
   // Promote cache for digested (backend-tier) pages (src/libfs/promote_cache.h).
   // 0 slots = disabled: tier reads still work but pay a kernel promote every time.
   size_t promote_cache_slots = 0;
-  size_t promote_cache_shards = 8;
 };
 
 // Registered into obs::StatRegistry under layer "libfs" (summed across instances).
@@ -298,7 +292,7 @@ class ArckFs : public FsInterface, private RingPassHooks {
   // The calling thread's pass batch (null off the drainer / without delegation).
   DelegationBatch* PassBatch();
   void CopyFromNvm(char* dst, const char* src, size_t len, DelegationBatch* batch);
-  // Effective delegation thresholds: config overrides, else the pool's DelegationConfig.
+  // Effective delegation thresholds: the pool's DelegationConfig, else the §4.5 defaults.
   size_t ReadDelegateThreshold() const;
   size_t WriteDelegateThreshold() const;
 

@@ -16,18 +16,12 @@ using arckfs_internal::AllocZeroedPage;
 using arckfs_internal::FakeTimeNs;
 
 size_t ArckFs::ReadDelegateThreshold() const {
-  if (config_.delegate_read_threshold != 0) {
-    return config_.delegate_read_threshold;
-  }
   const DelegationPool* delegation = kernel_.delegation();
   return delegation != nullptr ? delegation->config().read_threshold
                                : kDelegateReadThreshold;
 }
 
 size_t ArckFs::WriteDelegateThreshold() const {
-  if (config_.delegate_write_threshold != 0) {
-    return config_.delegate_write_threshold;
-  }
   const DelegationPool* delegation = kernel_.delegation();
   return delegation != nullptr ? delegation->config().write_threshold
                                : kDelegateWriteThreshold;

@@ -4,6 +4,12 @@ namespace trio {
 
 namespace {
 
+// Rings one engine can hand out (fixed at construction so the published-ring array never
+// reallocates under the drainer).
+constexpr size_t kMaxRings = 64;
+// TryPop rounds the drainer spins over empty rings before parking.
+constexpr uint32_t kDrainerSpin = 4096;
+
 std::atomic<uint64_t> g_next_engine_id{1};
 
 // Engine-id-keyed cache so a thread resolves its ring without the registration mutex
@@ -27,10 +33,9 @@ OpRingEngine::OpRingEngine(FsInterface& fs, NvmPool& pool, OpRingConfig config,
       engine_id_(g_next_engine_id.fetch_add(1, std::memory_order_relaxed)) {
   TRIO_CHECK(config_.depth > 0 && (config_.depth & (config_.depth - 1)) == 0)
       << "ring depth must be a power of two";
-  TRIO_CHECK(config_.max_rings > 0);
   // Reserved up front: the drainer indexes rings_ without the mutex, so the array must
   // never reallocate once the drainer is running.
-  rings_.reserve(config_.max_rings);
+  rings_.reserve(kMaxRings);
   drainer_ = std::thread([this] { DrainerLoop(); });
 }
 
@@ -58,7 +63,7 @@ OpRing& OpRingEngine::ThreadRing() {
     }
   }
   std::lock_guard<std::mutex> guard(rings_mutex_);
-  TRIO_CHECK(rings_.size() < config_.max_rings) << "op-ring engine out of ring slots";
+  TRIO_CHECK(rings_.size() < kMaxRings) << "op-ring engine out of ring slots";
   rings_.push_back(std::make_unique<OpRing>(config_.depth));
   OpRing* ring = rings_.back().get();
   published_rings_.store(rings_.size(), std::memory_order_release);
@@ -224,7 +229,7 @@ void OpRingEngine::DrainerLoop() {
       return;
     }
     bool found = false;
-    for (uint32_t spin = 0; spin < config_.drainer_spin; ++spin) {
+    for (uint32_t spin = 0; spin < kDrainerSpin; ++spin) {
       if (has_work() || stop_.load(std::memory_order_acquire)) {
         found = true;
         break;

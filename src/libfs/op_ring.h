@@ -56,11 +56,6 @@ struct OpRingConfig {
   // SQ capacity per thread ring (power of two). The CQ holds 2x so a full pass of
   // completions never blocks the drainer behind a slow reaper in the common case.
   size_t depth = 64;
-  // TryPop rounds the drainer spins over empty rings before parking.
-  uint32_t drainer_spin = 4096;
-  // Rings one engine can hand out (fixed at construction so the published-ring array
-  // never reallocates under the drainer).
-  size_t max_rings = 64;
 };
 
 // Fixed-size submission queue entry. Buffers (`buf`) stay application-owned and must
@@ -237,7 +232,7 @@ class OpRingEngine {
   const uint64_t engine_id_;
 
   std::mutex rings_mutex_;
-  std::vector<std::unique_ptr<OpRing>> rings_;  // Capacity fixed at max_rings.
+  std::vector<std::unique_ptr<OpRing>> rings_;  // Capacity fixed at kMaxRings.
   std::atomic<size_t> published_rings_{0};
 
   std::thread drainer_;

@@ -6,13 +6,9 @@ namespace trio {
 
 namespace {
 
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
+// Shards the slots are split across (a power of two: the top hash bits pick the shard).
+constexpr size_t kShards = 8;
+static_assert((kShards & (kShards - 1)) == 0, "shard count must be a power of two");
 
 }  // namespace
 
@@ -29,15 +25,13 @@ size_t PromoteCache::Shard::PickVictim() {
   return hand;  // Unreachable; keeps the contract total.
 }
 
-PromoteCache::PromoteCache(NvmPool& pool, size_t total_slots, size_t shards)
-    : pool_(pool) {
-  const size_t shard_count = RoundUpPow2(shards == 0 ? 1 : shards);
-  shards_ = std::vector<Shard>(shard_count);
+PromoteCache::PromoteCache(NvmPool& pool, size_t total_slots) : pool_(pool) {
+  shards_ = std::vector<Shard>(kShards);
   shift_ = 64;
-  for (size_t s = shard_count; s > 1; s >>= 1) {
+  for (size_t s = kShards; s > 1; s >>= 1) {
     --shift_;
   }
-  slots_per_shard_ = total_slots == 0 ? 0 : (total_slots + shard_count - 1) / shard_count;
+  slots_per_shard_ = total_slots == 0 ? 0 : (total_slots + kShards - 1) / kShards;
   for (Shard& shard : shards_) {
     shard.slots = std::vector<Slot>(slots_per_shard_);
   }

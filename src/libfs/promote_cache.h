@@ -48,9 +48,9 @@ struct PromoteCacheStats {
 
 class PromoteCache {
  public:
-  // `total_slots` pages cached across `shards` shards; 0 slots disables the cache
+  // `total_slots` pages cached across a fixed set of shards; 0 slots disables the cache
   // (every lookup misses, Insert evicts the inserted page right back).
-  PromoteCache(NvmPool& pool, size_t total_slots, size_t shards = 8);
+  PromoteCache(NvmPool& pool, size_t total_slots);
 
   bool enabled() const { return slots_per_shard_ != 0; }
 

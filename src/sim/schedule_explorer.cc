@@ -12,6 +12,10 @@ namespace trio {
 
 namespace {
 
+// Workload-phase lease, revoke-grace and fix budgets: far above any step's run time, so
+// the callback watchdog never abandons a LibFS callback inside a schedule.
+constexpr uint64_t kCallbackBudgetMs = 60000;
+
 size_t Alternations(const Schedule& schedule) {
   size_t n = 0;
   for (size_t i = 1; i < schedule.size(); ++i) {
@@ -92,11 +96,12 @@ ScheduleExplorer::RunOutcome ScheduleExplorer::RunSchedule(const TenantScript& a
     out.what = "harness: format failed: " + formatted.ToString();
     return out;
   }
-  // Revocations must run inline on the stepping thread: a guarded callback executes on a
-  // watchdog helper, and its timing relative to the next step would be nondeterministic —
-  // the same schedule bit-vector has to mean the same execution every time.
+  // LibFS callbacks run on a watchdog helper while the stepping thread waits for them, and
+  // with these budgets none is ever abandoned: one schedule bit-vector, one execution.
   KernelConfig kernel_config = options_.kernel_config;
-  kernel_config.guard_callbacks = false;
+  kernel_config.lease_ms = kCallbackBudgetMs;
+  kernel_config.revoke_grace_ms = kCallbackBudgetMs;
+  kernel_config.fix_timeout_ms = kCallbackBudgetMs;
   FaultInjector injector(options_.seed);
   for (const ArmedFault& fault : options_.faults) {
     injector.Arm(fault.point, fault.policy);

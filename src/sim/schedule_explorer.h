@@ -56,9 +56,10 @@ struct ScheduleExplorerOptions {
   // Crash points per schedule: 0 = every fence; otherwise an evenly spaced sample
   // (first/last kept, truncation counted in stats().sampled_out).
   size_t max_crash_points = 0;
-  // Kernel config for the WORKLOAD phase. guard_callbacks is forced off during schedule
-  // execution so revocations run inline on the stepping thread — fully deterministic.
-  // Recovery boots always use a default config.
+  // Kernel config for the WORKLOAD phase. Its lease_ms, revoke_grace_ms and
+  // fix_timeout_ms are raised to 60 s during schedule execution, far above any step's run
+  // time, so no LibFS callback is ever abandoned by the watchdog and each schedule is a
+  // single deterministic execution. Recovery boots always use a default config.
   KernelConfig kernel_config;
   // Fault points armed on each schedule's workload pool (e.g.
   // kFaultKernelLeakOnRevokedTransfer for the planted-bug acceptance test). Every run

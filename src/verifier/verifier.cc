@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/hash.h"
+#include "src/sim/fault_injector.h"
 
 namespace trio {
 
@@ -96,7 +97,8 @@ Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
   std::unordered_set<PageNumber> seen;
   auto check_page = [&](PageNumber page) -> Status {
     TRIO_RETURN_IF_ERROR(CheckDeadline(request));
-    if (injector_ != nullptr && injector_->ShouldFire(kFaultVerifierMediaRead)) {
+    FaultInjector* injector = pool_.fault_injector();
+    if (injector != nullptr && injector->ShouldFire(kFaultVerifierMediaRead)) {
       return VerifyFail(VerifyErrorClass::kMediaFailure, "I2",
                         "transient media error reading page " + std::to_string(page));
     }

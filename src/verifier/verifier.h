@@ -31,7 +31,6 @@
 #include "src/core/format.h"
 #include "src/core/ownership.h"
 #include "src/nvm/nvm.h"
-#include "src/sim/fault_injector.h"
 #include "src/verifier/verify_error.h"
 
 namespace trio {
@@ -149,10 +148,9 @@ class IntegrityVerifier {
 
   VerifierStats& stats() { return stats_; }
 
-  // Attach FaultSim (kFaultVerifierMediaRead) for transient-media testing; nullptr
-  // detaches. A fired fault aborts the current pass; Verify retries the whole pass up to
-  // media_read_retries times before surfacing kMediaFailure.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
+  // A fired kFaultVerifierMediaRead (armed on the pool's FaultSim injector) aborts the
+  // current pass; Verify retries the whole pass up to this many times before surfacing
+  // kMediaFailure.
   void set_media_read_retries(int retries) { media_read_retries_ = retries; }
 
  private:
@@ -169,7 +167,6 @@ class IntegrityVerifier {
   const OwnershipView& ownership_;
   const VerifyEnv& env_;
   Clock* clock_;
-  FaultInjector* injector_ = nullptr;
   int media_read_retries_ = 3;
   mutable VerifierStats stats_;  // Counters bump inside const check helpers.
 };

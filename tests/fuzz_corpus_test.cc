@@ -13,6 +13,7 @@
 #include "src/attacks/attacks.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
+#include "src/sim/fault_injector.h"
 #include "src/verifier/fsck.h"
 #include "src/verifier/verify_error.h"
 #include "tests/test_seed.h"
@@ -224,12 +225,13 @@ TEST_F(VerifierBoundsTest, TransientMediaFaultAbsorbedByRetry) {
     IntegrityVerifier verifier(pool_, kernel, kernel);
     FaultInjector injector(TestSeed());
     injector.Arm(kFaultVerifierMediaRead, FaultPolicy::Once());
-    verifier.set_fault_injector(&injector);
+    pool_.set_fault_injector(&injector);
 
     Result<VerifyReport> result = verifier.Verify(RequestFor());
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(verifier.stats().media_retries.load(), 1u);
     EXPECT_EQ(injector.TotalFires(), 1u);
+    pool_.set_fault_injector(nullptr);
   }
   TRIO_CHECK_OK(kernel.Unmount());
 }
@@ -244,16 +246,54 @@ TEST_F(VerifierBoundsTest, PersistentMediaFaultSurfacesAsIoAfterRetries) {
     IntegrityVerifier verifier(pool_, kernel, kernel);
     FaultInjector injector(TestSeed());
     injector.Arm(kFaultVerifierMediaRead, FaultPolicy::Always());
-    verifier.set_fault_injector(&injector);
+    pool_.set_fault_injector(&injector);
     verifier.set_media_read_retries(2);
 
     Result<VerifyReport> result = verifier.Verify(RequestFor());
+    pool_.set_fault_injector(nullptr);
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(result.status().Is(ErrorCode::kIo)) << result.status().ToString();
     EXPECT_EQ(VerifyError::FromStatus(result.status()).cls,
               VerifyErrorClass::kMediaFailure);
     EXPECT_EQ(verifier.stats().media_retries.load(), 2u);  // Initial pass + 2 retries.
     EXPECT_EQ(injector.TotalFires(), 3u);
+  }
+  TRIO_CHECK_OK(kernel.Unmount());
+}
+
+// The kernel's own release-time verification reads the same pool-attached fault point:
+// a media fault that outlasts every retry leaves the write unverifiable, so the kernel
+// quarantines it as kMediaFailure and rolls the file back to its checkpoint.
+TEST_F(VerifierBoundsTest, KernelVerifyMediaFailureQuarantinesAndRollsBack) {
+  KernelController kernel(pool_);
+  TRIO_CHECK_OK(kernel.Mount());
+  {
+    MaliciousLibFs fs(kernel);
+    SetUpFile(kernel, fs);  // Released and verified: the checkpoint holds 2 pages of 'b'.
+
+    Result<Fd> fd = fs.Open("/bounded", OpenFlags::ReadWrite());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    const std::string grown(3 * kPageSize, 'c');
+    ASSERT_TRUE(fs.Pwrite(*fd, grown.data(), grown.size(), 0).ok());
+    TRIO_CHECK_OK(fs.Close(*fd));
+
+    FaultInjector injector(TestSeed());
+    injector.Arm(kFaultVerifierMediaRead, FaultPolicy::Always());
+    pool_.set_fault_injector(&injector);
+    Status released = fs.ReleaseTarget("/bounded");
+    pool_.set_fault_injector(nullptr);
+
+    ASSERT_FALSE(released.ok());
+    EXPECT_EQ(VerifyError::FromStatus(released).cls, VerifyErrorClass::kMediaFailure)
+        << released.ToString();
+    EXPECT_GE(injector.TotalFires(), 1u);
+    const Status impounded = kernel.QuarantineErrorOf(ino_);
+    EXPECT_EQ(VerifyError::FromStatus(impounded).cls, VerifyErrorClass::kMediaFailure)
+        << impounded.ToString();
+    EXPECT_EQ(kernel.stats().files_quarantined.load(), 1u);
+    EXPECT_EQ(kernel.stats().corruptions_rolled_back.load(), 1u);
+    EXPECT_EQ(dirent_->size, 2 * kPageSize);  // The checkpointed size, not the write's.
+    TRIO_CHECK_OK(fs.ReleaseTarget("/"));
   }
   TRIO_CHECK_OK(kernel.Unmount());
 }

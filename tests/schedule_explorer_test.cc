@@ -149,11 +149,15 @@ TEST(ScheduleExplorerTest, PlantedCanaryFoundMinimizedAndReplayable) {
   EXPECT_NE(failure.schedule, all_b_then_a);
 
   // Replayable from the bit-vector alone: a FRESH explorer with the same options
-  // reproduces the failure verdict.
+  // reproduces the exact failure verdict, every time. Revokes run on the watchdog helper,
+  // so this also checks that each schedule is still one execution.
+  for (int replay = 0; replay < 3; ++replay) {
+    ScheduleExplorer fresh(options);
+    const ScheduleFailure replayed = fresh.Replay(TenantA(), TenantB(), failure.schedule);
+    EXPECT_EQ(replayed.fence, failure.fence) << "replay " << replay << ": " << replayed.what;
+    EXPECT_EQ(replayed.what, failure.what) << "replay " << replay;
+  }
   ScheduleExplorer replayer(options);
-  const ScheduleFailure replayed =
-      replayer.Replay(TenantA(), TenantB(), failure.schedule);
-  EXPECT_NE(replayed.fence, SIZE_MAX - 1) << "minimized schedule no longer fails";
 
   // Both zero-preemption baselines stay clean with the canary armed: the fault point is
   // never reached without cross-tenant contention.
