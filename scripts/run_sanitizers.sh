@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Builds the concurrency-heavy test binaries (delegation pool, callback watchdog, crash
-# explorer, op-ring drainer, multi-tenant schedule explorer, fuzz corpus, fleet) under
+# explorer, op-ring drainer, multi-tenant schedule explorer, fuzz corpus, fleet, tier,
+# LibFS structures, striped counters, the sharded node table) under
 # ThreadSanitizer and AddressSanitizer and runs a smoke subset of each.
 #
 # Usage: scripts/run_sanitizers.sh [thread|address] [--adversarial]
@@ -49,8 +50,17 @@ fleet_filter='FleetTest.*'
 # Tier suite: background digestion thread vs grants, promote-cache seqlock reads, the
 # LeaseCache refill worker, and the digestion crash sweep. Small enough to run whole.
 tier_filter='TierTest.*'
+# LibFS auxiliary structures (radix tree, directory index resizing under concurrent
+# inserts, fd table, journal, lease cache): small enough to run whole.
+structures_filter='*'
+# Striped obs::Counter sums and resets across threads.
+counter_filter='StatRegistryTest.*'
+# The sharded node table: multi-threaded namespace churn on one LibFS, a node dropped
+# while an op holds it, and the other concurrent ArckFS tests.
+arckfs_filter='ArckFsTest.Concurrent*:ArckFsTest.DroppedNode*'
 targets=(delegation_test crash_explorer_test op_ring_test common_test
-         schedule_explorer_test fuzz_corpus_test fleet_test tier_test)
+         schedule_explorer_test fuzz_corpus_test fleet_test tier_test
+         libfs_structures_test obs_test arckfs_test)
 if [[ $adversarial -eq 1 ]]; then
   schedule_filter='*'
   fuzz_filter='*'
@@ -85,6 +95,15 @@ for san in "${sanitizers[@]}"; do
 
   echo "== TRIO_SANITIZE=$san: tier_test =="
   "$build/tests/tier_test" --gtest_filter="$tier_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: libfs_structures_test =="
+  "$build/tests/libfs_structures_test" --gtest_filter="$structures_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: obs_test =="
+  "$build/tests/obs_test" --gtest_filter="$counter_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: arckfs_test =="
+  "$build/tests/arckfs_test" --gtest_filter="$arckfs_filter" --gtest_brief=1
 
   if [[ $adversarial -eq 1 ]]; then
     echo "== TRIO_SANITIZE=$san: integrity_test (full corruption sweep) =="

@@ -1,5 +1,6 @@
-// String hashing for directory hash tables and the FPFS full-path index.
-// FNV-1a with a 64->64 finalizer: fast, decent distribution, dependency-free.
+// String hashing for directory hash tables and the FPFS full-path index: FNV-1a with a
+// 64->64 finalizer, fast, decent distribution, dependency-free. Also the Fibonacci hash
+// that ino- and page-keyed tables pick a shard or slot with.
 
 #ifndef SRC_COMMON_HASH_H_
 #define SRC_COMMON_HASH_H_
@@ -29,6 +30,12 @@ inline uint64_t HashString(std::string_view s) { return HashBytes(s.data(), s.si
 // Combine two hashes (used to chain parent-ino with name hash).
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
+}
+
+// Fibonacci hashing: the index of `key`'s shard among mask + 1 (a power of two). Spreads
+// sequential inos and page numbers evenly across shards.
+inline size_t FibonacciShard(uint64_t key, size_t mask) {
+  return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) & mask;
 }
 
 }  // namespace trio

@@ -89,7 +89,10 @@ struct DirentBlock {
   char name[kMaxNameLen];     // Not NUL-terminated; name_len gives the length.
   uint64_t reserved2;         // Must be zero (checked by I1).
 
-  bool IsFree() const { return ino == kInvalidIno; }
+  // Acquire-loads the commit word: `ino` is published with a release store (Store64)
+  // after the rest of the dirent, and a slot may be freed by a rename that holds another
+  // page's lock while a create scans this page.
+  bool IsFree() const { return __atomic_load_n(&ino, __ATOMIC_ACQUIRE) == kInvalidIno; }
   bool IsDirectory() const { return (mode & kModeTypeMask) == kModeDirectory; }
   bool IsRegular() const { return (mode & kModeTypeMask) == kModeRegular; }
   std::string_view Name() const { return std::string_view(name, name_len); }

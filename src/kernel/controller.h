@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/hash.h"
 #include "src/common/result.h"
 #include "src/core/core_state.h"
 #include "src/core/format.h"
@@ -457,7 +458,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
 
   // ---- shard plumbing (controller.cc) ----
   size_t ShardIndexOf(Ino ino) const {
-    return static_cast<size_t>((ino * 0x9e3779b97f4a7c15ull) >> 32) & shard_mask_;
+    return FibonacciShard(ino, shard_mask_);
   }
   Shard& ShardOf(Ino ino) const { return *shards_[ShardIndexOf(ino)]; }
   static FileRecord* FindRecordLocked(Shard& shard, Ino ino);

@@ -25,6 +25,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/obs/stats.h"
 
@@ -273,8 +274,7 @@ class SeqlockCache {
   };
 
   size_t Index(uint64_t key) const {
-    // Fibonacci hashing spreads sequential inos/pages across slots.
-    return (key * 0x9e3779b97f4a7c15ull >> 32) & mask_;
+    return FibonacciShard(key, mask_);
   }
 
   // Win the slot: CAS seq even -> odd, spinning out a colliding writer (their critical

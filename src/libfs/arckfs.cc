@@ -69,9 +69,9 @@ ArckFs::ArckFs(KernelController& kernel, ArckFsConfig config)
 ArckFs::~ArckFs() {
   ring_engine_.reset();  // Stop the drainer before tearing anything else down.
   fds_.ReleaseAll();
-  {
-    std::lock_guard<std::mutex> guard(nodes_mutex_);
-    nodes_.clear();
+  for (NodeShard& shard : node_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mutex);
+    shard.nodes.clear();
   }
   leases_.Shutdown();  // No async refill may race the kernel-side lease teardown.
   kernel_.UnregisterLibFs(libfs_);

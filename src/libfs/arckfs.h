@@ -20,6 +20,7 @@
 #ifndef SRC_LIBFS_ARCKFS_H_
 #define SRC_LIBFS_ARCKFS_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -28,6 +29,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/range_lock.h"
 #include "src/common/rwlock.h"
 #include "src/kernel/controller.h"
@@ -312,14 +314,21 @@ class ArckFs : public FsInterface, private RingPassHooks {
   LeaseCache leases_;
   PromoteCache promote_cache_;
   FdTable<FileNode> fds_;
-  // Every thread bumps these counters on every op: start them on a cache line of their
-  // own, so the read-mostly members above never share one with them.
-  alignas(64) LibFsStats stats_;
+  LibFsStats stats_;
   // Persistence accounting for every PersistSpan this LibFS opens (layer "libfs").
   obs::PersistStats persist_stats_{"libfs"};
 
-  std::mutex nodes_mutex_;
-  std::unordered_map<Ino, NodePtr> nodes_;
+  // The in-DRAM node table, sharded by ino so path walks in different directories take
+  // different locks (DESIGN.md §4.12).
+  struct alignas(64) NodeShard {
+    std::mutex mutex;
+    std::unordered_map<Ino, NodePtr> nodes;
+  };
+  static constexpr size_t kNodeShards = 16;
+  NodeShard& NodeShardOf(Ino ino) {
+    return node_shards_[FibonacciShard(ino, kNodeShards - 1)];
+  }
+  std::array<NodeShard, kNodeShards> node_shards_;
 
   std::mutex quarantine_mutex_;
   std::vector<std::pair<Ino, Status>> quarantine_notices_;

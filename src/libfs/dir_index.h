@@ -61,20 +61,27 @@ class DirIndex {
 
   // Returns false if the name already exists.
   bool Insert(std::string_view name, const DirSlot& value) {
-    MaybeResize();
     const uint64_t hash = HashString(name);
-    ReadGuard<RwLock> table_guard(table_lock_);
-    Table& table = *table_;
-    Bucket& bucket = table.buckets[hash & table.mask];
-    WriteGuard<RwLock> bucket_guard(bucket.lock);
-    for (Entry* entry = bucket.head; entry != nullptr; entry = entry->next) {
-      if (entry->hash == hash && entry->name == name) {
-        return false;
+    size_t buckets = 0;
+    size_t size = 0;
+    {
+      ReadGuard<RwLock> table_guard(table_lock_);
+      Table& table = *table_;
+      Bucket& bucket = table.buckets[hash & table.mask];
+      WriteGuard<RwLock> bucket_guard(bucket.lock);
+      for (Entry* entry = bucket.head; entry != nullptr; entry = entry->next) {
+        if (entry->hash == hash && entry->name == name) {
+          return false;
+        }
       }
+      auto* entry = new Entry{hash, std::string(name), value, bucket.head};
+      bucket.head = entry;
+      size = size_.fetch_add(1, std::memory_order_relaxed) + 1;
+      buckets = table.mask + 1;  // Read under the table lock: a resize frees the table.
     }
-    auto* entry = new Entry{hash, std::string(name), value, bucket.head};
-    bucket.head = entry;
-    size_.fetch_add(1, std::memory_order_relaxed);
+    if (size > 4 * buckets) {
+      Grow();
+    }
     return true;
   }
 
@@ -145,11 +152,8 @@ class DirIndex {
     size_t mask;
   };
 
-  void MaybeResize() {
-    // Grow when load factor exceeds 4 entries per bucket.
-    if (size_.load(std::memory_order_relaxed) <= 4 * (table_->mask + 1)) {
-      return;
-    }
+  // Doubles the bucket array once the load factor exceeds 4 entries per bucket.
+  void Grow() {
     WriteGuard<RwLock> table_guard(table_lock_);
     const size_t old_buckets = table_->mask + 1;
     if (size_.load(std::memory_order_relaxed) <= 4 * old_buckets) {

@@ -11,9 +11,10 @@ namespace trio {
 
 ArckFs::NodePtr ArckFs::GetOrCreateNode(Ino ino, Ino parent, bool is_dir,
                                         DirentBlock* dirent) {
-  std::lock_guard<std::mutex> guard(nodes_mutex_);
-  auto it = nodes_.find(ino);
-  if (it != nodes_.end()) {
+  NodeShard& shard = NodeShardOf(ino);
+  std::lock_guard<std::mutex> guard(shard.mutex);
+  auto it = shard.nodes.find(ino);
+  if (it != shard.nodes.end()) {
     if (dirent != nullptr && it->second->dirent == nullptr) {
       it->second->dirent = dirent;
     }
@@ -24,19 +25,26 @@ ArckFs::NodePtr ArckFs::GetOrCreateNode(Ino ino, Ino parent, bool is_dir,
   node->parent = parent;
   node->is_dir = is_dir;
   node->dirent = dirent;
-  nodes_[ino] = node;
+  shard.nodes[ino] = node;
   return node;
 }
 
 ArckFs::NodePtr ArckFs::FindNode(Ino ino) {
-  std::lock_guard<std::mutex> guard(nodes_mutex_);
-  auto it = nodes_.find(ino);
-  return it == nodes_.end() ? nullptr : it->second;
+  NodeShard& shard = NodeShardOf(ino);
+  std::lock_guard<std::mutex> guard(shard.mutex);
+  auto it = shard.nodes.find(ino);
+  return it == shard.nodes.end() ? nullptr : it->second;
 }
 
 void ArckFs::DropNode(Ino ino) {
-  std::lock_guard<std::mutex> guard(nodes_mutex_);
-  nodes_.erase(ino);
+  NodePtr dropped;  // Destroyed after the unlock: a FileNode's teardown is not cheap.
+  NodeShard& shard = NodeShardOf(ino);
+  std::lock_guard<std::mutex> guard(shard.mutex);
+  auto it = shard.nodes.find(ino);
+  if (it != shard.nodes.end()) {
+    dropped = std::move(it->second);
+    shard.nodes.erase(it);
+  }
 }
 
 Status ArckFs::EnsureMapped(FileNode* node, bool write) {

@@ -8,8 +8,8 @@
 //
 // Multiple instances of a layer (two ArckFs, eight delegation nodes) each register their
 // own group; reads and the JSON snapshot sum per (layer, name). Registration happens once
-// at component construction; the hot path is exactly the relaxed atomic increment the old
-// ad-hoc structs already paid.
+// at component construction; the hot path is one relaxed increment of a cache line the
+// calling thread owns (Counter below).
 
 #ifndef SRC_OBS_STATS_H_
 #define SRC_OBS_STATS_H_
@@ -22,29 +22,45 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/per_cpu.h"
+
 namespace trio {
 namespace obs {
 
-// Drop-in replacement for the std::atomic<uint64_t> fields of the old stats structs:
-// same memory layout, same relaxed-by-default operations, plus assignment-from-integer so
-// existing `stats.field = 0` reset code keeps compiling.
+// A relaxed event counter striped across cache lines: each thread adds into the slot its
+// ThisThreadShardIndex() selects, so threads on different cores never bounce one line
+// (§4.5's per-CPU structures, applied to statistics). A read sums every slot: exact once
+// the writers are quiescent, and like any relaxed read it may miss in-flight updates
+// while they run. Updates return nothing — no caller needs the old value, and a striped
+// counter has no single one. Assignment from an integer keeps `stats.field = 0` working.
 class Counter {
  public:
+  static constexpr size_t kStripes = 16;
+
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
   uint64_t load(std::memory_order mo = std::memory_order_relaxed) const {
-    return value_.load(mo);
+    uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(mo);
+    }
+    return total;
   }
   void store(uint64_t v, std::memory_order mo = std::memory_order_relaxed) {
-    value_.store(v, mo);
+    for (Stripe& stripe : stripes_) {
+      stripe.value.store(0, mo);
+    }
+    stripes_[0].value.store(v, mo);
   }
-  uint64_t fetch_add(uint64_t d, std::memory_order mo = std::memory_order_relaxed) {
-    return value_.fetch_add(d, mo);
+  // A slot may wrap below zero when one thread subtracts what another added; the
+  // modular sum in load() is still exact.
+  void fetch_add(uint64_t d, std::memory_order mo = std::memory_order_relaxed) {
+    Local().fetch_add(d, mo);
   }
-  uint64_t fetch_sub(uint64_t d, std::memory_order mo = std::memory_order_relaxed) {
-    return value_.fetch_sub(d, mo);
+  void fetch_sub(uint64_t d, std::memory_order mo = std::memory_order_relaxed) {
+    Local().fetch_sub(d, mo);
   }
   Counter& operator=(uint64_t v) {
     store(v);
@@ -52,7 +68,15 @@ class Counter {
   }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+
+  std::atomic<uint64_t>& Local() {
+    return stripes_[ThisThreadShardIndex() % kStripes].value;
+  }
+
+  std::array<Stripe, kStripes> stripes_{};
 };
 
 // Log-binned latency histogram: Record(ns) lands in bin floor(log2(ns)) (bin 0 for 0–1ns).

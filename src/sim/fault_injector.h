@@ -93,6 +93,13 @@ class FaultInjector {
   // sites use this to pick which line/bit/subset to damage. Thread-safe.
   uint64_t NextRandom(uint64_t bound);
 
+  // Blocks every ShouldFire call, on any thread, until the returned lock is released. A
+  // test holds a component at its fault check this way (e.g. a delegation worker about to
+  // copy a chunk) while it sets up a race; it must not call the injector meanwhile.
+  [[nodiscard]] std::unique_lock<std::mutex> Stall() {
+    return std::unique_lock<std::mutex>(mutex_);
+  }
+
   FaultPointStats StatsFor(std::string_view point) const;
   uint64_t TotalFires() const;
   uint64_t TotalHits() const;

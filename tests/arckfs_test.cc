@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "src/common/random.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
+#include "src/verifier/fsck.h"
 #include "tests/test_seed.h"
 
 namespace trio {
@@ -406,6 +408,95 @@ TEST_F(ArckFsTest, ConcurrentSameNameCreateExclusive) {
     th.join();
   }
   EXPECT_EQ(winners.load(), 1);
+}
+
+// Four threads churn the namespace — creates, opens, in-directory and cross-directory
+// renames, unlinks — in private directories and one shared directory of one LibFS. The
+// node table shards by ino, so this crosses shards on every path walk; the image must
+// come out consistent.
+TEST_F(ArckFsTest, ConcurrentNamespaceChurnLeavesCleanImage) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 60;
+  ASSERT_TRUE(fs_->Mkdir("/shared").ok());
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(fs_->Mkdir("/p" + std::to_string(t)).ok());
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string mine = "/p" + std::to_string(t) + "/";
+      const std::string tag = std::to_string(t) + "_";
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string n = std::to_string(i);
+        for (const std::string& path : {mine + "f" + n, "/shared/t" + tag + n}) {
+          Result<Fd> fd = fs_->Open(path, OpenFlags::CreateRw());
+          ASSERT_TRUE(fd.ok()) << path << ": " << fd.status().ToString();
+          ASSERT_TRUE(fs_->Pwrite(*fd, path.data(), path.size(), 0).ok());
+          ASSERT_TRUE(fs_->Close(*fd).ok());
+        }
+        ASSERT_TRUE(fs_->Rename(mine + "f" + n, mine + "g" + n).ok());
+        ASSERT_TRUE(fs_->Rename("/shared/t" + tag + n, "/shared/u" + tag + n).ok());
+        ASSERT_TRUE(fs_->Rename("/shared/u" + tag + n, mine + "s" + n).ok());
+        Result<Fd> fd = fs_->Open(mine + "g" + n, OpenFlags::ReadOnly());
+        ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+        ASSERT_TRUE(fs_->Close(*fd).ok());
+        if (i % 2 == 1) {
+          ASSERT_TRUE(fs_->Unlink(mine + "g" + n).ok());
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    Result<std::vector<DirEntryInfo>> entries = fs_->ReadDir("/p" + std::to_string(t));
+    ASSERT_TRUE(entries.ok());
+    EXPECT_EQ(entries->size(), static_cast<size_t>(kRounds + kRounds / 2));
+  }
+  Result<std::vector<DirEntryInfo>> shared = fs_->ReadDir("/shared");
+  ASSERT_TRUE(shared.ok());
+  EXPECT_TRUE(shared->empty());
+
+  fs_.reset();  // Teardown verifies every open write session.
+  Result<FsckReport> report = RunFsck(pool_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const FsckProblem& problem : report->problems) {
+    ADD_FAILURE() << problem.invariant << " ino " << problem.ino << ": " << problem.detail;
+  }
+  EXPECT_EQ(report->regular_files, static_cast<uint64_t>(kThreads * (kRounds + kRounds / 2)));
+}
+
+// Exposes ArckFs's protected node table.
+class NodeTableProbe : public ArckFs {
+ public:
+  using ArckFs::ArckFs;
+  using ArckFs::FileNode;
+  using ArckFs::FindNode;
+  using ArckFs::NodePtr;
+};
+
+// An unlink drops the node from the table, but an op still holding its NodePtr keeps it
+// alive; it is destroyed when the last holder lets go, never under the table lock.
+TEST_F(ArckFsTest, DroppedNodeStaysValidWhileAnOpHoldsIt) {
+  NodeTableProbe probe(*kernel_);
+  Result<Fd> fd = probe.Open("/victim", OpenFlags::CreateRw());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ASSERT_TRUE(probe.Pwrite(*fd, "payload", 7, 0).ok());
+  ASSERT_TRUE(probe.Close(*fd).ok());
+  Result<StatInfo> info = probe.Stat("/victim");
+  ASSERT_TRUE(info.ok());
+
+  NodeTableProbe::NodePtr held = probe.FindNode(info->ino);
+  ASSERT_NE(held, nullptr);
+  std::weak_ptr<NodeTableProbe::FileNode> watch = held;
+  ASSERT_TRUE(probe.Unlink("/victim").ok());
+  EXPECT_EQ(probe.FindNode(info->ino), nullptr);
+  ASSERT_FALSE(watch.expired());
+  EXPECT_EQ(held->ino, info->ino);
+  held->radix.Clear();  // Its auxiliary state is still owned memory.
+  held.reset();
+  EXPECT_TRUE(watch.expired());
 }
 
 // ---- Sharing between two LibFSes (the Trio handoff protocol, §3.2/§4.3) ----

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -288,21 +289,31 @@ TEST(DelegationTest, WorkStealingDrainsSkewedLoad) {
   config.steal = true;
   config.steal_wake_threshold = 8;
   NvmPool pool(1 << 10, NvmMode::kFast, Topo(2, 1));
+  FaultInjector injector;  // Nothing armed: only its Stall() is used.
+  pool.set_fault_injector(&injector);
   DelegationPool delegation(pool, config);
   const size_t stripe = pool.NodeStripeBytes();
+  ASSERT_TRUE(WaitForAllParked(delegation, 2));
 
+  // Everything targets node 0. Every worker blocks at its first fault check, so node 0's
+  // worker holds at most one pop batch and the rest of the burst stays queued until the
+  // woken node-1 worker steals from it — however the threads are scheduled.
   std::vector<char> src(kPageSize, 'z');
-  // Everything targets node 0; node 1's worker should steal into the burst. Repeat a few
-  // rounds: stealing is opportunistic, but across rounds it must kick in.
-  for (int round = 0; round < 20 && delegation.steals() == 0; ++round) {
-    DelegationBatch batch(delegation);
-    for (int i = 0; i < 256; ++i) {
-      batch.AddWrite(pool.base() + (i % static_cast<int>(stripe / kPageSize)) * kPageSize,
-                     src.data(), kPageSize, true);
-    }
-    batch.Submit();
-    batch.Wait();
+  DelegationBatch batch(delegation);
+  for (int i = 0; i < 256; ++i) {
+    batch.AddWrite(pool.base() + (i % static_cast<int>(stripe / kPageSize)) * kPageSize,
+                   src.data(), kPageSize, true);
   }
+  {
+    std::unique_lock<std::mutex> stall = injector.Stall();
+    batch.Submit();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (delegation.node_stats(1).steals.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  batch.Wait();
   EXPECT_GT(delegation.node_stats(1).steals.load(), 0u)
       << "the idle node-1 worker never stole from node 0's backlog";
   EXPECT_EQ(delegation.submitted(), delegation.completed());

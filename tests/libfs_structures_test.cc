@@ -140,6 +140,35 @@ TEST(DirIndexTest, ConcurrentMixedOperations) {
   EXPECT_EQ(index.Size(), expected);
 }
 
+// Regression: the load-factor check once read the bucket mask without the table lock
+// while another inserter's resize freed the table (a TSan-reported race). Four
+// inserters start at 2 buckets and force ten doublings between them.
+TEST(DirIndexTest, ConcurrentInsertsAcrossDoublings) {
+  DirIndex index(2);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::string name = "d" + std::to_string(t) + "_" + std::to_string(i);
+        ASSERT_TRUE(index.Insert(name, DirSlot{0, 0, Ino(2 + t * kPerThread + i), false}));
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  ASSERT_EQ(index.Size(), static_cast<size_t>(kThreads * kPerThread));
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      DirSlot slot;
+      ASSERT_TRUE(index.Lookup("d" + std::to_string(t) + "_" + std::to_string(i), &slot));
+      EXPECT_EQ(slot.ino, Ino(2 + t * kPerThread + i));
+    }
+  }
+}
+
 struct DummyFile {
   int value = 0;
 };

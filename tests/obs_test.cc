@@ -35,6 +35,74 @@ TEST(StatRegistryTest, CounterBasics) {
   EXPECT_EQ(c.load(), 0u);
 }
 
+// Every thread adds into its own stripe; the sum must come out exact, including when
+// one thread subtracts what another added (its stripe wraps below zero).
+TEST(StatRegistryTest, CounterStripesSumExactlyAcrossThreads) {
+  obs::Counter c;
+  c.store(1000000);
+  constexpr int kThreads = 8;
+  constexpr uint64_t kOps = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c, t] {
+      for (uint64_t i = 0; i < kOps; ++i) {
+        if (t % 2 == 0) {
+          c.fetch_add(i % 7);
+        } else {
+          c.fetch_sub(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  uint64_t added = 0;
+  for (uint64_t i = 0; i < kOps; ++i) {
+    added += i % 7;
+  }
+  EXPECT_EQ(c.load(), 1000000 + (kThreads / 2) * added - (kThreads / 2) * kOps);
+}
+
+TEST(StatRegistryTest, CounterResetClearsEveryStripe) {
+  obs::Counter c;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 2 * obs::Counter::kStripes; ++t) {
+    threads.emplace_back([&c] { c.fetch_add(3); });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(c.load(), 6 * obs::Counter::kStripes);
+  c = 0;
+  EXPECT_EQ(c.load(), 0u);
+  c.store(9);
+  std::thread([&c] { c.fetch_add(1); }).join();
+  c.fetch_add(1);
+  EXPECT_EQ(c.load(), 11u);
+}
+
+TEST(StatRegistryTest, LayerSumsCountEveryThreadsIncrements) {
+  obs::Counter a, b;
+  obs::ScopedRegistration reg_a("stripelayer", {{"ops", &a}});
+  obs::ScopedRegistration reg_b("stripelayer", {{"ops", &b}});
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 1000; ++i) {
+        a.fetch_add(1);
+        b.fetch_add(2);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(obs::StatRegistry::Global().CounterValue("stripelayer", "ops"), 12000u);
+  EXPECT_NE(obs::StatRegistry::Global().ToJson().find("\"stripelayer\":{\"ops\":12000}"),
+            std::string::npos);
+}
+
 TEST(StatRegistryTest, HistogramBinsAreLogarithmic) {
   obs::LatencyHistogram h;
   h.Record(0);
