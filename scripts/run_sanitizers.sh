@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the concurrency-heavy test binaries (delegation pool, callback watchdog, crash
 # explorer, op-ring drainer, multi-tenant schedule explorer, fuzz corpus, fleet, tier,
-# LibFS structures, striped counters, the sharded node table) under
-# ThreadSanitizer and AddressSanitizer and runs a smoke subset of each.
+# LibFS structures, striped counters, the sharded node table, the verifier's chain walk)
+# under ThreadSanitizer and AddressSanitizer and runs a smoke subset of each.
 #
 # Usage: scripts/run_sanitizers.sh [thread|address] [--adversarial]
 #   (no sanitizer: both, thread first)
@@ -58,14 +58,19 @@ counter_filter='StatRegistryTest.*'
 # The sharded node table: multi-threaded namespace churn on one LibFS, a node dropped
 # while an op holds it, and the other concurrent ArckFS tests.
 arckfs_filter='ArckFsTest.Concurrent*:ArckFsTest.DroppedNode*'
+# The verifier's one-pass chain walk (sorted report lists, batched tier-slot check):
+# the unit tests run whole; the integrity smoke runs the attack tests and one seed of
+# every scripted corruption through verify, reconcile and rollback.
+verifier_filter='*'
+integrity_filter='IntegrityTest.*:*CorruptionSweepTest*_seed0'
 targets=(delegation_test crash_explorer_test op_ring_test common_test
          schedule_explorer_test fuzz_corpus_test fleet_test tier_test
-         libfs_structures_test obs_test arckfs_test)
+         libfs_structures_test obs_test arckfs_test verifier_test integrity_test)
 if [[ $adversarial -eq 1 ]]; then
   schedule_filter='*'
   fuzz_filter='*'
   explorer_filter='*'
-  targets+=(integrity_test)
+  integrity_filter='*'
 fi
 
 for san in "${sanitizers[@]}"; do
@@ -105,10 +110,11 @@ for san in "${sanitizers[@]}"; do
   echo "== TRIO_SANITIZE=$san: arckfs_test =="
   "$build/tests/arckfs_test" --gtest_filter="$arckfs_filter" --gtest_brief=1
 
-  if [[ $adversarial -eq 1 ]]; then
-    echo "== TRIO_SANITIZE=$san: integrity_test (full corruption sweep) =="
-    "$build/tests/integrity_test" --gtest_brief=1
-  fi
+  echo "== TRIO_SANITIZE=$san: verifier_test =="
+  "$build/tests/verifier_test" --gtest_filter="$verifier_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: integrity_test =="
+  "$build/tests/integrity_test" --gtest_filter="$integrity_filter" --gtest_brief=1
 done
 
 echo "== sanitizer sweep passed: ${sanitizers[*]} (adversarial=$adversarial) =="

@@ -623,7 +623,7 @@ const Script kScripts[] = {
        // Forge a digested-page mapping: replace a live NVM data entry with a tier-tagged
        // entry whose backend slot this file never earned. With no backend configured,
        // every tagged entry is forged; with one, the slot is either never-written or
-       // owned by another ino. Either way CheckTierSlot must condemn it — a LibFS that
+       // owned by another ino. Either way CheckTierSlots must condemn it — a LibFS that
        // could mint slots could read other tenants' digested data at reconcile time.
        TRIO_ASSIGN_OR_RETURN(DirentBlock * d, fs.MapTarget(p));
        if (d->first_index_page == 0) {

@@ -293,7 +293,7 @@ Status KernelController::ScanTreeLocked(Ino ino, Ino parent, PageNumber dirent_p
     if (!seen_pages->insert(p).second) {
       return Corrupted("index page claimed twice");
     }
-    record.pages.insert(p);
+    record.pages.push_back(p);
     return OkStatus();
   });
   if (walk.ok()) {
@@ -308,16 +308,19 @@ Status KernelController::ScanTreeLocked(Ino ino, Ino parent, PageNumber dirent_p
                                 }
                                 const uint64_t slot = TierSlotOfEntry(entry);
                                 TRIO_RETURN_IF_ERROR(config_.tier.backend->Adopt(slot, ino));
-                                record.backend_slots.insert(slot);
+                                record.backend_slots.push_back(slot);
                                 return OkStatus();
                               }
                               if (!seen_pages->insert(entry).second) {
                                 return Corrupted("data page claimed twice");
                               }
-                              record.pages.insert(entry);
+                              record.pages.push_back(entry);
                               return OkStatus();
                             });
   }
+  // Unique already: seen_pages and Adopt reject a second claim.
+  std::sort(record.pages.begin(), record.pages.end());
+  std::sort(record.backend_slots.begin(), record.backend_slots.end());
 
   for (PageNumber p : record.pages) {
     page_table_.Set(p, PageState{ResourceState::kOwned, kNoLibFs, ino});
@@ -741,7 +744,10 @@ Status KernelController::FreePages(LibFsId libfs, const std::vector<PageNumber>&
       if (file->writer != libfs) {
         return PermissionDenied("freeing a page of a file not write-mapped by caller");
       }
-      file->pages.erase(page);
+      auto it = std::lower_bound(file->pages.begin(), file->pages.end(), page);
+      if (it != file->pages.end() && *it == page) {
+        file->pages.erase(it);
+      }
       mmu_.Revoke(libfs, page, PagePerm::kReadWrite);
       ReleasePageToFree(page);
       stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);

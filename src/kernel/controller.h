@@ -355,7 +355,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // ---- VerifyEnv ----
   Status CheckRemovedChildDir(Ino child, LibFsId writer) const override;
   bool IsMovePermitted(Ino child, Ino new_parent, LibFsId writer) const override;
-  Status CheckTierSlot(Ino ino, uint64_t slot) const override;
+  Status CheckTierSlots(Ino ino, const std::vector<uint64_t>& slots) const override;
 
   // ---- Tiering (src/kernel/digestion.cc) ----
   // Promote-back half of digestion: copies backend slot `slot` (a tier entry of `ino`,
@@ -402,10 +402,13 @@ class KernelController : public OwnershipView, public VerifyEnv {
     PageNumber dirent_page = 0;  // 0 => superblock root.
     size_t dirent_slot = 0;
     PageNumber first_index_page = 0;  // As of last reconcile.
-    std::unordered_set<PageNumber> pages;
-    // Backend slots this file's tier entries reference (the backend-tier analogue of
-    // `pages`; maintained by digestion, reconcile, and the mount rescan).
-    std::unordered_set<uint64_t> backend_slots;
+    // Index and data pages, sorted and unique (binary search; reconcile diffs it against
+    // the verifier's sorted report in one merge walk).
+    std::vector<PageNumber> pages;
+    // Backend slots this file's tier entries reference, sorted and unique (the
+    // backend-tier analogue of `pages`; maintained by digestion, reconcile, and the
+    // mount rescan).
+    std::vector<uint64_t> backend_slots;
     LibFsId writer = kNoLibFs;
     std::unordered_set<LibFsId> readers;
     // Grant generation: renewed on every change to `writer` or `readers`. A revoke

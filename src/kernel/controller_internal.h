@@ -4,6 +4,9 @@
 #ifndef SRC_KERNEL_CONTROLLER_INTERNAL_H_
 #define SRC_KERNEL_CONTROLLER_INTERNAL_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "src/kernel/controller.h"
 
 namespace trio {
@@ -30,6 +33,26 @@ inline bool AccessAllowed(const ShadowInode& shadow, uint32_t uid, uint32_t gid,
 // Absolute verifier deadline for one verification pass, from the config budget.
 inline uint64_t VerifyDeadline(const KernelConfig& config, uint64_t now_ns) {
   return config.verify_timeout_ms == 0 ? 0 : now_ns + config.verify_timeout_ms * 1000000ull;
+}
+
+// One merge walk over two sorted, duplicate-free sets (FileRecord::pages against the
+// verifier's report, DESIGN.md §4.11): dropped(v) for each v only in `before`, added(v)
+// for each v only in `after`.
+template <typename Dropped, typename Added>
+void DiffSorted(const std::vector<uint64_t>& before, const std::vector<uint64_t>& after,
+                Dropped dropped, Added added) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+      dropped(before[i++]);
+    } else if (i == before.size() || after[j] < before[i]) {
+      added(after[j++]);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
 }
 
 inline size_t WmapSlots(const NvmPool& pool) {

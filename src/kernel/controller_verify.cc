@@ -22,6 +22,7 @@
 
 namespace trio {
 
+using controller_internal::DiffSorted;
 using controller_internal::VerifyDeadline;
 
 Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
@@ -223,50 +224,46 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
     std::shared_ptr<LibFsRecord> writer =
         writer_id != kNoLibFs ? FindLibFs(writer_id) : nullptr;
 
-    // Pages: adopt newly referenced leased pages, free no-longer-referenced owned pages.
-    std::unordered_set<PageNumber> new_pages(report.pages.begin(), report.pages.end());
-    for (PageNumber page : record->pages) {
-      if (new_pages.count(page) != 0) {
-        continue;
-      }
-      // Dropped from the file (truncate / shrink): back to the free pool.
-      if (writer_id != kNoLibFs) {
-        mmu_.Revoke(writer_id, page, PagePerm::kReadWrite);
-      }
-      ReleasePageToFree(page);
-      stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
-    }
-    for (PageNumber page : new_pages) {
-      const PageState state = page_table_.Get(page);
-      if (state.state == ResourceState::kLeased) {
-        if (writer != nullptr) {
-          std::lock_guard<std::mutex> guard(writer->mu);
-          writer->leased_pages.erase(page);
-        }
-        page_table_.Set(page, PageState{ResourceState::kOwned, kNoLibFs, ino});
-      }
-    }
-    record->pages = std::move(new_pages);
+    // Pages: one merge walk of the file's sorted set against the report's. A page only
+    // in the old set was dropped (truncate / shrink) and goes back to the free pool; a
+    // page only in the report is new to the file and adopted from the writer's leases.
+    DiffSorted(
+        record->pages, report.pages,
+        [&](PageNumber page) {
+          if (writer_id != kNoLibFs) {
+            mmu_.Revoke(writer_id, page, PagePerm::kReadWrite);
+          }
+          ReleasePageToFree(page);
+          stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
+        },
+        [&](PageNumber page) {
+          if (page_table_.Get(page).state != ResourceState::kLeased) {
+            return;
+          }
+          if (writer != nullptr) {
+            std::lock_guard<std::mutex> guard(writer->mu);
+            writer->leased_pages.erase(page);
+          }
+          page_table_.Set(page, PageState{ResourceState::kOwned, kNoLibFs, ino});
+        });
+    record->pages = report.pages;  // Copy-assign reuses the record's buffer.
     record->first_index_page = DirentOfLocked(*record)->first_index_page;
 
     // Backend slots reconcile exactly like pages: slots no longer referenced by a tier
     // entry (the writer truncated or overwrote a digested page) are freed on the backend.
-    // A writer cannot *mint* slots — CheckTierSlot already rejected any slot the backend
-    // does not record as owned by this file — so the report's set is always a subset of
-    // union(record set, adopted-at-mount set).
-    {
-      std::unordered_set<uint64_t> new_slots(report.backend_slots.begin(),
-                                             report.backend_slots.end());
-      SlowBackend* backend = config_.tier.backend;
-      for (uint64_t slot : record->backend_slots) {
-        if (new_slots.count(slot) != 0 || backend == nullptr) {
-          continue;
-        }
-        (void)backend->Free(slot, ino);
-        tier_stats_.backend_slots_freed.fetch_add(1, std::memory_order_relaxed);
-      }
-      record->backend_slots = std::move(new_slots);
+    // A writer cannot *mint* slots — CheckTierSlots already rejected any slot the
+    // backend does not record as owned by this file — so the report's set is always a
+    // subset of union(record set, adopted-at-mount set).
+    if (SlowBackend* backend = config_.tier.backend; backend != nullptr) {
+      DiffSorted(
+          record->backend_slots, report.backend_slots,
+          [&](uint64_t slot) {
+            (void)backend->Free(slot, ino);
+            tier_stats_.backend_slots_freed.fetch_add(1, std::memory_order_relaxed);
+          },
+          [](uint64_t) {});
     }
+    record->backend_slots = report.backend_slots;
 
     // FaultSim (kFaultKernelLeakOnRevokedTransfer): on a transfer that answers a
     // revoke, leak one still-referenced page back onto the free list. A later allocation
@@ -277,8 +274,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
     if (injector != nullptr && record->writer != kNoLibFs &&
         record->revoked_gen == record->grant_gen && !record->pages.empty() &&
         injector->ShouldFire(kFaultKernelLeakOnRevokedTransfer)) {
-      const PageNumber leaked =
-          *std::max_element(record->pages.begin(), record->pages.end());
+      const PageNumber leaked = record->pages.back();
       std::lock_guard<std::mutex> guard(alloc_mu_);
       free_pages_by_node_[pool_.NodeOfPage(leaked)].push_back(leaked);
     }
@@ -453,8 +449,8 @@ void KernelController::ReclaimOne(Ino ino) {
     if (record == nullptr) {
       return;
     }
-    pages.assign(record->pages.begin(), record->pages.end());
-    backend_slots.assign(record->backend_slots.begin(), record->backend_slots.end());
+    pages = std::move(record->pages);
+    backend_slots = std::move(record->backend_slots);
     shards_[si]->records.erase(ino);
     EraseInoStateLocked(*shards_[si], ino);
     grant_cache_.Erase(ino);
@@ -620,13 +616,13 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
 
   // Scrub: drop index entries that reference pages this file no longer owns, and rebuild
   // the owned-page set from the restored chain.
-  std::unordered_set<PageNumber> restored;
+  std::vector<PageNumber> restored;
   Status scrub = ForEachIndexPage(pool_, record->first_index_page, [&](PageNumber p) -> Status {
     const PageState state = page_table_.Get(p);
     if (state.state != ResourceState::kOwned || state.owner != record->ino) {
       return Corrupted("restored chain broken");
     }
-    restored.insert(p);
+    restored.push_back(p);
     auto* index = reinterpret_cast<IndexPage*>(pool_.PageAddress(p));
     for (size_t i = 0; i < kIndexEntriesPerPage; ++i) {
       const PageNumber entry = index->entries[i];
@@ -638,7 +634,8 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
         // file (digestion never touches write-mapped files, so the recorded set is
         // stable across the whole write session). Anything else — a forged or stale
         // digested-page mapping the writer smuggled in — scrubs to a hole.
-        if (record->backend_slots.count(TierSlotOfEntry(entry)) == 0) {
+        if (!std::binary_search(record->backend_slots.begin(), record->backend_slots.end(),
+                                TierSlotOfEntry(entry))) {
           span.CommitStore64(&index->entries[i], 0);
         }
         continue;
@@ -649,7 +646,7 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
       if (!owned) {
         span.CommitStore64(&index->entries[i], 0);
       } else {
-        restored.insert(entry);
+        restored.push_back(entry);
       }
     }
     return OkStatus();
@@ -665,9 +662,12 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
     restored.clear();
   }
 
+  // Same shape as every FileRecord page set: sorted and unique.
+  std::sort(restored.begin(), restored.end());
+  restored.erase(std::unique(restored.begin(), restored.end()), restored.end());
   // Pages that were owned but are no longer reachable go back to the free pool.
   for (PageNumber page : record->pages) {
-    if (restored.count(page) != 0) {
+    if (std::binary_search(restored.begin(), restored.end(), page)) {
       continue;
     }
     if (record->writer != kNoLibFs) {

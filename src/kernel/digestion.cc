@@ -182,10 +182,25 @@ size_t KernelController::DigestFile(Ino ino, size_t max_pages) {
     ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
     FileRecord* record = FindRecordLocked(*shards_[si], ino);
     TRIO_CHECK(record != nullptr && record->busy);
+    // Both sets stay sorted: drop the moved pages in one pass, then merge in the new
+    // slots, which the backend minted in ascending order.
+    std::vector<PageNumber> gone;
+    gone.reserve(moved.size());
+    const size_t old_slots = record->backend_slots.size();
     for (const auto& [page, slot] : moved) {
-      record->pages.erase(page);
-      record->backend_slots.insert(slot);
+      gone.push_back(page);
+      record->backend_slots.push_back(slot);
     }
+    std::sort(gone.begin(), gone.end());
+    std::vector<PageNumber>& pages = record->pages;
+    pages.erase(std::remove_if(pages.begin(), pages.end(),
+                               [&](PageNumber page) {
+                                 return std::binary_search(gone.begin(), gone.end(), page);
+                               }),
+                pages.end());
+    std::inplace_merge(record->backend_slots.begin(),
+                       record->backend_slots.begin() + old_slots,
+                       record->backend_slots.end());
     if (!moved.empty()) {
       // Bump the dirent generation so a LibFS with a cached radix over the old entries
       // rebuilds its auxiliary state on the next map (same contract as a write grant).
@@ -253,7 +268,8 @@ Status KernelController::PromoteRead(LibFsId libfs, Ino ino, uint64_t slot,
     if (record->writer != libfs && record->readers.count(libfs) == 0) {
       return PermissionDenied("caller holds no grant on file");
     }
-    if (record->backend_slots.count(slot) == 0) {
+    if (!std::binary_search(record->backend_slots.begin(), record->backend_slots.end(),
+                            slot)) {
       return InvalidArgument("slot is not a tier entry of this file");
     }
   }
@@ -269,12 +285,12 @@ Status KernelController::PromoteRead(LibFsId libfs, Ino ino, uint64_t slot,
   return OkStatus();
 }
 
-Status KernelController::CheckTierSlot(Ino ino, uint64_t slot) const {
+Status KernelController::CheckTierSlots(Ino ino, const std::vector<uint64_t>& slots) const {
   SlowBackend* backend = config_.tier.backend;
   if (backend == nullptr) {
-    return VerifyEnv::CheckTierSlot(ino, slot);  // No backend: every tier entry is forged.
+    return VerifyEnv::CheckTierSlots(ino, slots);  // No backend: every tier entry is forged.
   }
-  if (backend->OwnerOf(slot) != ino) {
+  if (!backend->OwnsAll(ino, slots)) {
     return VerifyFail(VerifyErrorClass::kForeignPage, "I2",
                       "tier entry references a backend slot not owned by this file");
   }

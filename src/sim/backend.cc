@@ -60,10 +60,15 @@ Status SlowBackend::Free(uint64_t slot, Ino owner) {
   return OkStatus();
 }
 
-Ino SlowBackend::OwnerOf(uint64_t slot) const {
+bool SlowBackend::OwnsAll(Ino owner, const std::vector<uint64_t>& slots) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = owners_.find(slot);
-  return it == owners_.end() ? kInvalidIno : it->second;
+  for (uint64_t slot : slots) {
+    auto it = owners_.find(slot);
+    if (it == owners_.end() || it->second != owner) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void SlowBackend::BeginRebuild() {

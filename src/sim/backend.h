@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/result.h"
 #include "src/common/status.h"
@@ -82,8 +83,9 @@ class SlowBackend {
   // contract above). Fails if the slot is not currently owned by `owner`.
   Status Free(uint64_t slot, Ino owner);
 
-  // Current owner of a slot, or kInvalidIno if unowned/unknown.
-  Ino OwnerOf(uint64_t slot) const;
+  // True iff `owner` owns every slot in `slots`; one lock acquisition for the whole list
+  // (the verifier checks all of a file's tier entries at once).
+  bool OwnsAll(Ino owner, const std::vector<uint64_t>& slots) const;
 
   // Mount-time rebuild: forget all owners, then re-adopt each slot the tree rescan
   // finds referenced. Adopt fails on a slot that was never written (a forged mapping)

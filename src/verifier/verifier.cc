@@ -1,5 +1,6 @@
 #include "src/verifier/verifier.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -18,6 +19,20 @@ bool AllZero(const uint8_t* bytes, size_t len) {
     }
   }
   return true;
+}
+
+// Index entries walked per deadline check: a clock read per entry cost more than the
+// entry's own checks.
+constexpr uint64_t kEntriesPerDeadlineCheck = 64;
+
+bool Contains(const std::vector<uint64_t>& values, uint64_t value) {
+  return std::find(values.begin(), values.end(), value) != values.end();
+}
+
+// Sorts `values` in place; false if any value occurs twice.
+bool SortUnique(std::vector<uint64_t>* values) {
+  std::sort(values->begin(), values->end());
+  return std::adjacent_find(values->begin(), values->end()) == values->end();
 }
 
 // The core-state walkers predate the taxonomy and return bare kCorrupted messages;
@@ -91,19 +106,41 @@ Status IntegrityVerifier::CheckDirentFields(const DirentBlock& dirent,
 }
 
 Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
-                                     PageNumber first_index_page,
-                                     VerifyReport* report) const {
+                                     PageNumber first_index_page, VerifyReport* report,
+                                     uint64_t* index_pages) const {
+  const Status fast =
+      WalkChain(request, first_index_page, /*in_order=*/false, report, index_pages);
+  stats_.pages_scanned.fetch_add(report->pages.size() + report->backend_slots.size(),
+                                 std::memory_order_relaxed);
+  if (fast.ok()) {
+    return fast;
+  }
+  const VerifyErrorClass cls = VerifyError::FromStatus(fast).cls;
+  if (cls == VerifyErrorClass::kDeadline || cls == VerifyErrorClass::kMediaFailure) {
+    return fast;
+  }
+  // The fast walk checks uniqueness and tier slots after it has seen every entry, so a
+  // chain with several violations may be blamed on a later one. Walk it again checking
+  // each entry in place: the verdict is then the first violation in walk order. Only a
+  // chain that already failed pays for this.
+  report->pages.clear();
+  report->backend_slots.clear();
+  const Status in_order =
+      WalkChain(request, first_index_page, /*in_order=*/true, report, index_pages);
+  return in_order.ok() ? fast : in_order;
+}
+
+Status IntegrityVerifier::WalkChain(const VerifyRequest& request,
+                                    PageNumber first_index_page, bool in_order,
+                                    VerifyReport* report, uint64_t* index_pages) const {
   const Ino ino = request.ino;
-  std::unordered_set<PageNumber> seen;
+  FaultInjector* injector = pool_.fault_injector();
   auto check_page = [&](PageNumber page) -> Status {
-    TRIO_RETURN_IF_ERROR(CheckDeadline(request));
-    FaultInjector* injector = pool_.fault_injector();
     if (injector != nullptr && injector->ShouldFire(kFaultVerifierMediaRead)) {
       return VerifyFail(VerifyErrorClass::kMediaFailure, "I2",
                         "transient media error reading page " + std::to_string(page));
     }
-    // I2: no double references within the file.
-    if (!seen.insert(page).second) {
+    if (in_order && Contains(report->pages, page)) {
       return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
                         "page referenced twice within file");
     }
@@ -117,40 +154,85 @@ Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
                         "page neither owned by file nor leased to writer");
     }
     report->pages.push_back(page);
-    stats_.pages_scanned.fetch_add(1, std::memory_order_relaxed);
     return OkStatus();
   };
 
-  // Walk index pages, then raw data entries. ForEach* already bound-check page numbers
-  // and detect cycles in the index chain; tier entries pass through tagged and are
-  // checked against the backend owner oracle instead of the NVM ownership table.
-  const bool is_dir = request.dirent != nullptr && request.dirent->IsDirectory();
-  std::unordered_set<uint64_t> seen_slots;
-  TRIO_RETURN_IF_ERROR(
-      ClassifyWalkerError(ForEachIndexPage(pool_, first_index_page, check_page)));
-  TRIO_RETURN_IF_ERROR(ClassifyWalkerError(ForEachDataEntry(
-      pool_, first_index_page,
-      [&](uint64_t /*file_page_index*/, uint64_t entry) -> Status {
-        if (!IsTierEntry(entry)) {
-          return check_page(entry);
+  // Index pages first: ForEachIndexPage bound-checks each one. A chain that loops back
+  // on itself references a page twice; Brent's cycle check (`mark` jumps ahead at
+  // doubling intervals) catches the loop within two laps, without a set of seen pages.
+  PageNumber mark = 0;
+  uint64_t lap = 1;
+  uint64_t steps = 0;
+  TRIO_RETURN_IF_ERROR(ClassifyWalkerError(
+      ForEachIndexPage(pool_, first_index_page, [&](PageNumber page) -> Status {
+        if (page == mark) {
+          return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
+                            "page referenced twice within file");
+        }
+        if (++steps == lap) {
+          mark = page;
+          lap *= 2;
+          steps = 0;
         }
         TRIO_RETURN_IF_ERROR(CheckDeadline(request));
-        // Directory chains never digest: a tagged entry there is forged outright.
-        if (is_dir) {
+        return check_page(page);
+      })));
+  *index_pages = report->pages.size();
+
+  // Then every entry of each index page. Tier entries are collected for one backend
+  // owner check below instead of the NVM ownership table. The clock is read once every
+  // kEntriesPerDeadlineCheck entries, not per entry.
+  const bool is_dir = request.dirent != nullptr && request.dirent->IsDirectory();
+  uint64_t entries = 0;
+  for (size_t k = 0; k < *index_pages; ++k) {
+    const auto* index =
+        reinterpret_cast<const IndexPage*>(pool_.PageAddress(report->pages[k]));
+    for (size_t i = 0; i < kIndexEntriesPerPage; ++i) {
+      const uint64_t entry = index->entries[i];
+      if (entry == 0) {
+        continue;  // Hole.
+      }
+      if (++entries % kEntriesPerDeadlineCheck == 0) {
+        TRIO_RETURN_IF_ERROR(CheckDeadline(request));
+      }
+      if (!IsTierEntry(entry)) {
+        if (!ValidFilePage(pool_, entry)) {
           return VerifyFail(VerifyErrorClass::kBadPagePointer, "I2",
-                            "tier entry inside a directory chain");
+                            "data page number out of range");
         }
-        const uint64_t slot = TierSlotOfEntry(entry);
-        // I2: no double references within the file, backend tier included.
-        if (!seen_slots.insert(slot).second) {
+        TRIO_RETURN_IF_ERROR(check_page(entry));
+        continue;
+      }
+      // Directory chains never digest: a tagged entry there is forged outright.
+      if (is_dir) {
+        return VerifyFail(VerifyErrorClass::kBadPagePointer, "I2",
+                          "tier entry inside a directory chain");
+      }
+      const uint64_t slot = TierSlotOfEntry(entry);
+      if (in_order) {
+        if (Contains(report->backend_slots, slot)) {
           return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
                             "backend slot referenced twice within file");
         }
-        TRIO_RETURN_IF_ERROR(env_.CheckTierSlot(ino, slot));
-        report->backend_slots.push_back(slot);
-        stats_.pages_scanned.fetch_add(1, std::memory_order_relaxed);
-        return OkStatus();
-      })));
+        TRIO_RETURN_IF_ERROR(env_.CheckTierSlots(ino, {slot}));
+      }
+      report->backend_slots.push_back(slot);
+    }
+  }
+
+  // I2: no double references within the file — index and data pages alike, and the
+  // backend tier too. Sorted, a repeat sits next to its twin.
+  if (!SortUnique(&report->pages)) {
+    return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
+                      "page referenced twice within file");
+  }
+  if (!SortUnique(&report->backend_slots)) {
+    return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
+                      "backend slot referenced twice within file");
+  }
+  if (!report->backend_slots.empty()) {
+    TRIO_RETURN_IF_ERROR(env_.CheckTierSlots(ino, report->backend_slots));
+  }
   return OkStatus();
 }
 
@@ -194,16 +276,11 @@ Result<VerifyReport> IntegrityVerifier::VerifyRegular(const VerifyRequest& reque
   }
 
   VerifyReport report;
-  TRIO_RETURN_IF_ERROR(CheckChain(request, dirent.first_index_page, &report));
+  uint64_t index_pages = 0;
+  TRIO_RETURN_IF_ERROR(CheckChain(request, dirent.first_index_page, &report, &index_pages));
 
   // I1: size must fit within the capacity of the index chain. Holes read as zeros, so a
   // size larger than the *allocated* pages is fine, but not larger than the chain covers.
-  uint64_t index_pages = 0;
-  TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, dirent.first_index_page,
-                                        [&](PageNumber) -> Status {
-                                          ++index_pages;
-                                          return OkStatus();
-                                        }));
   const uint64_t capacity = index_pages * kIndexEntriesPerPage * kPageSize;
   if (dirent.size > capacity) {
     return VerifyFail(VerifyErrorClass::kBadSize, "I1",
@@ -253,7 +330,8 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
   }
 
   VerifyReport report;
-  TRIO_RETURN_IF_ERROR(CheckChain(request, dir.first_index_page, &report));
+  uint64_t index_pages = 0;
+  TRIO_RETURN_IF_ERROR(CheckChain(request, dir.first_index_page, &report, &index_pages));
 
   // I4 for the directory itself (unless it is brand new).
   const InoState self_state = ownership_.StateOfIno(request.ino);

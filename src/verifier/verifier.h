@@ -71,11 +71,11 @@ struct MovedInChild {
 };
 
 struct VerifyReport {
-  // Every index and data page referenced by the file, post-write (kernel reconciles
-  // ownership from this).
+  // Every index and data page referenced by the file, post-write, sorted and unique (the
+  // kernel reconciles ownership from this with one merge walk).
   std::vector<PageNumber> pages;
-  // Backend slots referenced by tier entries (digested pages), post-write; the kernel
-  // reconciles backend-slot ownership from this the same way it reconciles pages.
+  // Backend slots referenced by tier entries (digested pages), post-write, sorted and
+  // unique; the kernel reconciles backend-slot ownership from this the same way.
   std::vector<uint64_t> backend_slots;
   // Directories only:
   std::vector<NewChildInfo> new_children;
@@ -99,14 +99,15 @@ class VerifyEnv {
   // `new_parent`? True iff the old parent directory is write-held by the same writer or the
   // child is pending reconciliation from an earlier unmap in this writer's session.
   virtual bool IsMovePermitted(Ino child, Ino new_parent, LibFsId writer) const = 0;
-  // Is `slot` a backend-tier slot legitimately owned by `ino`? Only the kernel's own
-  // digestion service mints tier entries, so the default — no backend configured — rejects
-  // every tier entry outright: a forged digested-page mapping is corruption by
-  // construction, not something a LibFS can smuggle past an unconfigured verifier.
-  virtual Status CheckTierSlot(Ino ino, uint64_t slot) const {
+  // Is every slot in `slots` (sorted, unique, non-empty) a backend-tier slot legitimately
+  // owned by `ino`? Only the kernel's own digestion service mints tier entries, so the
+  // default — no backend configured — rejects every tier entry outright: a forged
+  // digested-page mapping is corruption by construction, not something a LibFS can
+  // smuggle past an unconfigured verifier.
+  virtual Status CheckTierSlots(Ino ino, const std::vector<uint64_t>& slots) const {
     (void)ino;
     return VerifyFail(VerifyErrorClass::kForeignPage, "I2",
-                      "tier entry references backend slot " + std::to_string(slot) +
+                      "tier entry references backend slot " + std::to_string(slots.front()) +
                           " but no backend tier is configured");
   }
 };
@@ -120,9 +121,10 @@ struct VerifyRequest {
   // Children of the directory at checkpoint time; empty for regular files or fresh files.
   const std::vector<CheckpointChild>* checkpoint_children = nullptr;
   // Absolute deadline (clock nanoseconds) for this verification; 0 = unbounded. The
-  // verifier checks it cooperatively inside its page/dirent walks — it runs on the
-  // caller's thread under the kernel lock, so a watchdog thread cannot bound it without
-  // deadlocking against the OwnershipView callbacks. An overrun returns kDeadline
+  // verifier checks it cooperatively inside its walks (once per index page, every 64
+  // index entries and once per dirent) — it runs on the caller's thread under the
+  // kernel lock, so a watchdog thread cannot bound it without deadlocking against the
+  // OwnershipView callbacks. An overrun returns kDeadline
   // (ErrorCode::kTimeout): the state is UNVERIFIED and the kernel treats it exactly like
   // corruption (rollback + quarantine) rather than accepting it unchecked.
   uint64_t deadline_ns = 0;
@@ -155,9 +157,14 @@ class IntegrityVerifier {
 
  private:
   Status CheckDirentFields(const DirentBlock& dirent, bool allow_root) const;
-  // I2 over the chain rooted at first_index_page. Appends pages to report->pages.
+  // I2 over the chain rooted at first_index_page, in one walk: fills report->pages and
+  // report->backend_slots (sorted) and counts the chain's index pages.
   Status CheckChain(const VerifyRequest& request, PageNumber first_index_page,
-                    VerifyReport* report) const;
+                    VerifyReport* report, uint64_t* index_pages) const;
+  // One walk of the chain. `in_order` checks uniqueness and tier slots at each entry
+  // (quadratic; only to name the first violation of a chain that already failed).
+  Status WalkChain(const VerifyRequest& request, PageNumber first_index_page, bool in_order,
+                   VerifyReport* report, uint64_t* index_pages) const;
   Status CheckDeadline(const VerifyRequest& request) const;
   Result<VerifyReport> VerifyOnce(const VerifyRequest& request);
   Result<VerifyReport> VerifyRegular(const VerifyRequest& request);

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <vector>
 
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
@@ -55,6 +58,22 @@ class FsckTest : public ::testing::Test {
     };
     walk(&sb->root);
     return found;
+  }
+
+  // The file's index and data pages, read off its chain, sorted.
+  std::vector<PageNumber> FilePages(const DirentBlock* dirent) {
+    std::vector<PageNumber> pages;
+    TRIO_CHECK_OK(ForEachIndexPage(pool_, dirent->first_index_page, [&](PageNumber p) {
+      pages.push_back(p);
+      return OkStatus();
+    }));
+    TRIO_CHECK_OK(ForEachDataPage(pool_, dirent->first_index_page,
+                                  [&](uint64_t, PageNumber p) {
+                                    pages.push_back(p);
+                                    return OkStatus();
+                                  }));
+    std::sort(pages.begin(), pages.end());
+    return pages;
   }
 
   NvmPool pool_;
@@ -145,6 +164,81 @@ TEST_F(FsckTest, OrphanShadowIsG6) {
   ASSERT_FALSE(report->Clean());
   EXPECT_EQ(report->problems[0].invariant, "G6");
   EXPECT_EQ(report->problems[0].ino, 900u);
+}
+
+// ---- Reconcile of the kernel's sorted page sets ----
+
+TEST_F(FsckTest, ReconcileFreesExactlyThePagesASessionDropped) {
+  Result<Fd> fd = fs_->Open("/t", OpenFlags::CreateRw());
+  ASSERT_TRUE(fd.ok());
+  const std::string eight(8 * kPageSize, 'a');
+  ASSERT_TRUE(fs_->Pwrite(*fd, eight.data(), eight.size(), 0).ok());
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/t").ok());
+  const Ino ino = FindDirent("t")->ino;
+  const std::vector<PageNumber> before = FilePages(FindDirent("t"));
+  ASSERT_EQ(before.size(), 9u);  // Index + 8 data pages.
+
+  // One write session drops pages (shrink to one page), then adds pages (append two).
+  fd = fs_->Open("/t", OpenFlags::ReadWrite());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(fs_->Ftruncate(*fd, kPageSize).ok());
+  const std::string two(2 * kPageSize, 'b');
+  ASSERT_TRUE(fs_->Pwrite(*fd, two.data(), two.size(), kPageSize).ok());
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  const uint64_t freed_before = kernel_->stats().pages_freed.load();
+  ASSERT_TRUE(fs_->ReleaseFile("/t").ok());
+
+  const std::vector<PageNumber> after = FilePages(FindDirent("t"));
+  ASSERT_EQ(after.size(), 4u);  // Index + 3 data pages.
+  std::vector<PageNumber> dropped;
+  std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
+                      std::back_inserter(dropped));
+  EXPECT_GE(dropped.size(), 5u);  // At most two dropped pages were reused by the append.
+  EXPECT_EQ(kernel_->stats().pages_freed.load() - freed_before, dropped.size());
+  for (PageNumber page : after) {
+    const PageState state = kernel_->StateOfPage(page);
+    EXPECT_EQ(state.state, ResourceState::kOwned) << page;
+    EXPECT_EQ(state.owner, ino) << page;
+  }
+  for (PageNumber page : dropped) {
+    EXPECT_EQ(kernel_->StateOfPage(page).state, ResourceState::kFree) << page;
+  }
+  fs_.reset();
+  Result<FsckReport> report = RunFsck(pool_);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->Clean()) << report->problems.front().detail;
+}
+
+TEST_F(FsckTest, RemountRescanKeepsPagesInUseAndReconcilesAfterwards) {
+  Populate();
+  fs_.reset();
+  Result<FsckReport> before = RunFsck(pool_);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->Clean());
+  const size_t free_before = kernel_->FreePageCount();
+
+  ASSERT_TRUE(kernel_->Unmount().ok());
+  kernel_ = std::make_unique<KernelController>(pool_);
+  ASSERT_TRUE(kernel_->Mount().ok());
+  EXPECT_EQ(kernel_->FreePageCount(), free_before);
+  Result<FsckReport> rescanned = RunFsck(pool_);
+  ASSERT_TRUE(rescanned.ok());
+  EXPECT_TRUE(rescanned->Clean()) << rescanned->problems.front().detail;
+  EXPECT_EQ(rescanned->pages_in_use, before->pages_in_use);
+
+  // The rescanned page sets reconcile like any other: shrinking /a/f9 (10000 bytes,
+  // three data pages) to one page frees exactly two.
+  fs_ = std::make_unique<ArckFs>(*kernel_);
+  const uint64_t freed_before = kernel_->stats().pages_freed.load();
+  ASSERT_TRUE(fs_->Truncate("/a/f9", 100).ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/a/f9").ok());
+  EXPECT_EQ(kernel_->stats().pages_freed.load() - freed_before, 2u);
+  fs_.reset();
+  Result<FsckReport> shrunk = RunFsck(pool_);
+  ASSERT_TRUE(shrunk.ok());
+  EXPECT_TRUE(shrunk->Clean()) << shrunk->problems.front().detail;
+  EXPECT_EQ(shrunk->pages_in_use, before->pages_in_use - 2);
 }
 
 TEST_F(FsckTest, FsckDoesNotModifyThePool) {

@@ -162,6 +162,43 @@ TEST_F(TierTest, PromoteForWriteConvertsEntryAndFreesSlotAtReconcile) {
   ASSERT_TRUE(fs_->Close(*fd).ok());
 }
 
+// Reconcile keeps the kernel's sorted slot sets in step with the backend: across write,
+// release and digest cycles that convert, drop and re-digest tier entries, the backend
+// owns exactly the slots the files' index chains reference.
+TEST_F(TierTest, WriteReleaseDigestCyclesKeepBackendOwnershipExact) {
+  Boot();
+  const std::vector<std::string> names = {"c0", "c1", "c2"};
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_TRUE(WriteFile("/" + names[i], 6, static_cast<char>('a' + i)).ok());
+    ASSERT_TRUE(fs_->ReleaseFile("/" + names[i]).ok());
+  }
+  auto tier_entries = [&] {
+    size_t total = 0;
+    for (const std::string& name : names) {
+      total += TierEntryCount(name);
+    }
+    return total;
+  };
+  std::string block(kPageSize, 'w');
+  for (size_t cycle = 0; cycle < 9; ++cycle) {
+    kernel_->DigestNow(64);
+    ASSERT_EQ(backend_->OwnedSlotCount(), tier_entries()) << "after digest, cycle " << cycle;
+    ASSERT_GT(tier_entries(), 0u) << cycle;
+
+    // Overwrite one page (promote-for-write), and every other cycle shrink the file.
+    const std::string path = "/" + names[cycle % names.size()];
+    Result<Fd> fd = fs_->Open(path, OpenFlags::ReadWrite());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_TRUE(fs_->Pwrite(*fd, block.data(), block.size(), (cycle % 6) * kPageSize).ok());
+    if (cycle % 2 == 1) {
+      ASSERT_TRUE(fs_->Ftruncate(*fd, 3 * kPageSize).ok());
+    }
+    ASSERT_TRUE(fs_->Close(*fd).ok());
+    ASSERT_TRUE(fs_->ReleaseFile(path).ok());
+    ASSERT_EQ(backend_->OwnedSlotCount(), tier_entries()) << "after release, cycle " << cycle;
+  }
+}
+
 TEST_F(TierTest, DatasetLargerThanNvmFillsViaWatermarkStalls) {
   Boot(/*high=*/0.55, /*low=*/0.35, /*background=*/true);
   // ~4x the 2048-page pool: 128 files x 64 data pages (+1 index page each).
@@ -258,7 +295,7 @@ TEST_F(TierTest, CrashSweepDigestionAndPromoteBackStaysConsistent) {
 // ---- Forged digested-page mapping, backend configured ----
 //
 // A malicious LibFS swaps one of its own tier entries for a slot the backend records as
-// owned by ANOTHER file. CheckTierSlot must condemn the release (a LibFS that could mint
+// owned by ANOTHER file. CheckTierSlots must condemn the release (a LibFS that could mint
 // slots could read other tenants' digested data at reconcile), the forger is
 // quarantined, and the victim's digested data stays readable. The no-backend variant of
 // this forgery lives in the scripted-corruption corpus ("index_forged_tier_mapping").

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -53,16 +54,38 @@ class FakeEnv : public VerifyEnv {
   bool IsMovePermitted(Ino child, Ino new_parent, LibFsId writer) const override {
     return moves_permitted_;
   }
+  Status CheckTierSlots(Ino ino, const std::vector<uint64_t>& slots) const override {
+    ++tier_checks_;
+    for (uint64_t slot : slots) {
+      auto it = slot_owners_.find(slot);
+      if (it == slot_owners_.end() || it->second != ino) {
+        return VerifyFail(VerifyErrorClass::kForeignPage, "I2", "slot not owned by file");
+      }
+    }
+    return OkStatus();
+  }
 
   std::unordered_set<Ino> corrupt_removed_;
   bool moves_permitted_ = false;
+  std::unordered_map<uint64_t, Ino> slot_owners_;
+  mutable int tier_checks_ = 0;
+};
+
+// Advances by one tick on every read, and counts the reads.
+class TickingClock : public Clock {
+ public:
+  uint64_t NowNs() override { return ++reads_; }
+  uint64_t reads() const { return reads_; }
+
+ private:
+  uint64_t reads_ = 0;
 };
 
 constexpr LibFsId kWriter = 7;
 
 class VerifierTest : public ::testing::Test {
  protected:
-  VerifierTest() : pool_(512) {
+  VerifierTest() : pool_(1024) {
     FormatOptions options;
     options.max_inodes = 256;
     TRIO_CHECK_OK(Format(pool_, options));
@@ -100,6 +123,21 @@ class VerifierTest : public ::testing::Test {
       ip->entries[i] = NewPage();
     }
     return d;
+  }
+
+  // Appends a second index page to the file's chain and returns it.
+  IndexPage* AddIndexPage(DirentBlock* d) {
+    const PageNumber page = NewPage();
+    reinterpret_cast<IndexPage*>(pool_.PageAddress(d->first_index_page))->next = page;
+    return reinterpret_cast<IndexPage*>(pool_.PageAddress(page));
+  }
+
+  IndexPage* FirstIndexPage(const DirentBlock* d) {
+    return reinterpret_cast<IndexPage*>(pool_.PageAddress(d->first_index_page));
+  }
+
+  static VerifyErrorClass ClassOf(const Result<VerifyReport>& result) {
+    return VerifyError::FromStatus(result.status()).cls;
   }
 
   VerifyRequest RequestFor(Ino ino, const DirentBlock* dirent) {
@@ -215,6 +253,127 @@ TEST_F(VerifierTest, DirentInoMismatchFails) {
   VerifyRequest request = RequestFor(/*ino=*/43, d);  // Identity mismatch.
   ownership_.LeaseIno(43, kWriter);
   EXPECT_TRUE(verifier_->Verify(request).status().Is(ErrorCode::kCorrupted));
+}
+
+// ---- Chain-walk contract: one pass, sorted report lists ----
+
+TEST_F(VerifierTest, IndexPageAlsoListedAsDataEntryIsDoubleReference) {
+  ownership_.LeaseIno(42, kWriter);
+  DirentBlock* d = BuildRegularFile(42, 100, 1);
+  FirstIndexPage(d)->entries[1] = d->first_index_page;
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(42, d));
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(ClassOf(report), VerifyErrorClass::kDoubleReference)
+      << report.status().ToString();
+}
+
+TEST_F(VerifierTest, DuplicatedTierSlotIsDoubleReference) {
+  ownership_.LeaseIno(42, kWriter);
+  DirentBlock* d = BuildRegularFile(42, 4 * kPageSize, 1);
+  env_.slot_owners_[5] = 42;
+  FirstIndexPage(d)->entries[1] = MakeTierEntry(5);
+  FirstIndexPage(d)->entries[3] = MakeTierEntry(5);
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(42, d));
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(ClassOf(report), VerifyErrorClass::kDoubleReference)
+      << report.status().ToString();
+}
+
+TEST_F(VerifierTest, OneForeignSlotAmongManyValidTierEntriesIsForeignPage) {
+  ownership_.LeaseIno(42, kWriter);
+  DirentBlock* d = BuildRegularFile(42, 200 * kPageSize, 1);
+  IndexPage* index = FirstIndexPage(d);
+  for (uint64_t i = 1; i <= 150; ++i) {
+    env_.slot_owners_[1000 + i] = 42;
+    index->entries[i] = MakeTierEntry(1000 + i);
+  }
+  ASSERT_TRUE(verifier_->Verify(RequestFor(42, d)).ok());
+  EXPECT_EQ(env_.tier_checks_, 1);  // Every slot in one call, not one call per entry.
+
+  env_.slot_owners_[1077] = 99;  // Another file's digested page.
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(42, d));
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(ClassOf(report), VerifyErrorClass::kForeignPage) << report.status().ToString();
+}
+
+// With several violations, the verdict is the first one in walk order, although the
+// one-pass walk checks uniqueness and tier slots only after it has seen every entry.
+TEST_F(VerifierTest, FirstViolationInWalkOrderIsTheVerdict) {
+  ownership_.LeaseIno(42, kWriter);
+  DirentBlock* d = BuildRegularFile(42, 8 * kPageSize, 1);
+  IndexPage* index = FirstIndexPage(d);
+  const PageNumber stolen = NewPage(/*leased=*/false);
+  ownership_.OwnPage(stolen, /*owner=*/99);
+
+  index->entries[1] = MakeTierEntry(7);      // Slot owned by another file...
+  env_.slot_owners_[7] = 99;
+  index->entries[2] = pool_.num_pages() + 5;  // ...before an out-of-range page.
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(42, d));
+  EXPECT_EQ(ClassOf(report), VerifyErrorClass::kForeignPage) << report.status().ToString();
+
+  index->entries[1] = index->entries[0];     // A repeated page...
+  index->entries[2] = stolen;                // ...before another file's page.
+  report = verifier_->Verify(RequestFor(42, d));
+  EXPECT_EQ(ClassOf(report), VerifyErrorClass::kDoubleReference)
+      << report.status().ToString();
+}
+
+TEST_F(VerifierTest, DeadlinePassingMidWalkIsDeadline) {
+  ownership_.LeaseIno(42, kWriter);
+  // Two index pages, 600 entries: a full first page of tier entries, then data pages.
+  constexpr size_t kEntries = 600;
+  DirentBlock* d = BuildRegularFile(42, 1, 0);
+  IndexPage* second = AddIndexPage(d);
+  for (size_t i = 0; i < kEntries; ++i) {
+    if (i < kIndexEntriesPerPage) {
+      env_.slot_owners_[1 + i] = 42;
+      FirstIndexPage(d)->entries[i] = MakeTierEntry(1 + i);
+    } else {
+      second->entries[i - kIndexEntriesPerPage] = NewPage();
+    }
+  }
+
+  TickingClock clock;
+  IntegrityVerifier verifier(pool_, ownership_, env_, &clock);
+  VerifyRequest request = RequestFor(42, d);
+  request.deadline_ns = 1000000;  // Never reached: count the clock reads of a full walk.
+  ASSERT_TRUE(verifier.Verify(request).ok());
+  // One read per index page plus one per 64 entries, not one per entry.
+  EXPECT_EQ(clock.reads(), 2 + kEntries / 64);
+
+  request.deadline_ns = clock.reads() + 5;  // Passes after the first few entry batches.
+  Result<VerifyReport> report = verifier.Verify(request);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(ClassOf(report), VerifyErrorClass::kDeadline) << report.status().ToString();
+  EXPECT_EQ(verifier.stats().deadline_exceeded.load(), 1u);
+}
+
+TEST_F(VerifierTest, ReportListsAreSortedAndUnique) {
+  ownership_.LeaseIno(42, kWriter);
+  DirentBlock* d = BuildRegularFile(42, 64 * kPageSize, 0);
+  IndexPage* index = FirstIndexPage(d);
+  // Data pages and tier slots entered in descending order, interleaved.
+  std::vector<PageNumber> data;
+  for (int i = 0; i < 20; ++i) {
+    data.push_back(NewPage());
+  }
+  for (size_t i = 0; i < 40; ++i) {
+    if (i % 2 == 0) {
+      index->entries[i] = data[data.size() - 1 - i / 2];
+    } else {
+      const uint64_t slot = 500 - i;
+      env_.slot_owners_[slot] = 42;
+      index->entries[i] = MakeTierEntry(slot);
+    }
+  }
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(42, d));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->pages.size(), 21u);  // Index + 20 data pages.
+  EXPECT_EQ(report->backend_slots.size(), 20u);
+  for (const std::vector<uint64_t>* list : {&report->pages, &report->backend_slots}) {
+    EXPECT_TRUE(std::is_sorted(list->begin(), list->end()));
+    EXPECT_EQ(std::adjacent_find(list->begin(), list->end()), list->end());
+  }
 }
 
 // ---- Directory-level checks ----
