@@ -30,7 +30,6 @@ Status MaliciousLibFs::ReleaseTarget(const std::string& path) {
   // verification result.
   TRIO_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
   Ino ino = kRootIno;
-  Ino parent = kInvalidIno;
   if (!components.empty()) {
     SplitParent parts;
     parts.leaf = std::move(components.back());
@@ -44,7 +43,6 @@ Status MaliciousLibFs::ReleaseTarget(const std::string& path) {
       return slot.status();
     }
     ino = slot->ino;
-    parent = dir->ino;
   }
   NodePtr node = FindNode(ino);
   if (node != nullptr && node->locally_created) {
@@ -57,7 +55,6 @@ Status MaliciousLibFs::ReleaseTarget(const std::string& path) {
       return parent_commit;
     }
   }
-  (void)parent;
   // Quiesce and unmap with the real status.
   Status status = kernel_.UnmapFile(libfs_, ino);
   if (node != nullptr) {

@@ -28,8 +28,7 @@ Result<KvFs::KvNode*> KvFs::GetKvNode(const std::string& key, bool create) {
     auto it = kv_nodes_.find(key);
     if (it != kv_nodes_.end()) {
       // Revoked since we cached it? Rebuild below.
-      if (!it->second->node->stale.load(std::memory_order_acquire) &&
-          it->second->node->map_state.load(std::memory_order_acquire) == 2) {
+      if (MappedAt(it->second->node.get(), 2)) {
         return it->second.get();
       }
       kv_nodes_.erase(it);
@@ -55,12 +54,8 @@ Result<KvFs::KvNode*> KvFs::GetKvNode(const std::string& key, bool create) {
                              SlotPointer(*slot));
   kv->node->dirent = SlotPointer(*slot);
   if (created) {
-    // A file we just created is implicitly write-held: its resources are our leases and
-    // the kernel learns of it at the directory's next verification.
-    kv->node->locally_created = true;
-    kv->node->map_state.store(2, std::memory_order_release);
-  } else if (kv->node->map_state.load(std::memory_order_acquire) != 2 ||
-             kv->node->stale.load(std::memory_order_acquire)) {
+    AdoptCreated(kv->node.get());
+  } else {
     TRIO_RETURN_IF_ERROR(EnsureMapped(kv->node.get(), /*write=*/true));
   }
   TRIO_RETURN_IF_ERROR(BuildKvNode(kv.get()));

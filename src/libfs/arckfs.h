@@ -159,25 +159,22 @@ class ArckFs : public FsInterface, private RingPassHooks {
     bool is_dir = false;
     bool locally_created = false;  // Created by us, not yet reconciled by the kernel.
 
-    // Mapping state machine, driven under map_mutex; ops hold op_lock shared.
+    // generation << 2 | level (0 = unmapped, 1 = read, 2 = write); only node_cache.cc
+    // touches it (DESIGN.md §4.13). EnsureMapped drops map_mutex across MapFile (which
+    // may revoke another tenant whose RevokeNode takes ITS node's map_mutex: an ABBA
+    // between two LibFSes) and publishes only if the word did not move meanwhile.
     std::mutex map_mutex;
     BravoRwLock op_lock;
-    std::atomic<int> map_state{0};  // 0 = unmapped, 1 = read, 2 = write.
-    std::atomic<bool> stale{false};
-    // Bumped by RevokeNode under map_mutex. EnsureMapped releases map_mutex across the
-    // kernel MapFile crossing (the kernel may synchronously revoke another tenant, whose
-    // RevokeNode takes ITS node's map_mutex — holding ours would be an ABBA inversion
-    // between two LibFS instances revoking each other); the revision tells it whether a
-    // revoke slipped into that window and the fresh grant must be re-requested.
-    uint64_t map_revision = 0;
+    std::atomic<uint64_t> map_word{0};
     DirentBlock* dirent = nullptr;
 
     // Regular-file auxiliary state (§4.2).
     BravoRwLock inode_lock;
     RangeLock range_lock;
     PageRadixTree radix;
-    std::vector<PageNumber> index_pages;  // Chain order; guarded by inode_lock exclusive
-                                          // (extension happens only on the exclusive path).
+    // Chain order. Extended under inode_lock exclusive; dropped and rebuilt only under
+    // map_mutex + op_lock exclusive, like the rest of the auxiliary state.
+    std::vector<PageNumber> index_pages;
     std::vector<PageNumber> reuse_pages;  // Owned, unlinked by truncate; reusable in-file.
     std::unordered_set<PageNumber> dirty_pages;  // Relaxed-data mode: awaiting fsync.
     SpinLock dirty_lock;
@@ -208,8 +205,13 @@ class ArckFs : public FsInterface, private RingPassHooks {
   NodePtr FindNode(Ino ino);
   void DropNode(Ino ino);
   // Maps the node (read or write) through the kernel and rebuilds auxiliary state if the
-  // mapping was (re)established. Never call while holding op_lock.
+  // mapping was (re)established. Never call while holding this node's op_lock.
   Status EnsureMapped(FileNode* node, bool write);
+  // Is the node mapped at `level` (1=read, 2=write) or above?
+  static bool MappedAt(const FileNode* node, int level);
+  // Publishes a node we just created as write-mapped (an empty index first for a
+  // directory), unless another thread already mapped it from core state.
+  void AdoptCreated(FileNode* node);
   // Acquire op_lock shared and confirm the mapping is still live at `level` (1=read,
   // 2=write); retries via EnsureMapped on staleness. Returns with op_lock held shared.
   // When an OpContext is active, the wait is charged to its lock_wait_ns counter.
@@ -218,9 +220,9 @@ class ArckFs : public FsInterface, private RingPassHooks {
   // Revoker-side: quiesce, unmap, drop auxiliary state.
   void RevokeNode(Ino ino);
   // Kernel-side quarantine notification (may arrive on a watchdog thread, possibly while
-  // this LibFS is itself mid-unmap on the same node): record the notice and mark the node
-  // stale. Deliberately lock-free on the node — staleness makes the next op re-map and
-  // rebuild from the rolled-back core state. Must not call back into the kernel.
+  // this LibFS is itself mid-unmap on the same node): record the notice and drop the
+  // node's map level. Deliberately lock-free on the node — the next op re-maps and
+  // rebuilds from the rolled-back core state. Must not call back into the kernel.
   void OnQuarantine(Ino ino, const Status& reason);
   // The LockForOp acquisition loop (no instrumentation; LockForOp wraps it).
   Status AcquireOpLock(FileNode* node, int level);
@@ -247,8 +249,9 @@ class ArckFs : public FsInterface, private RingPassHooks {
   Result<size_t> ReadLocked(FileNode* node, void* buf, size_t count, uint64_t offset);
   Status TruncateLocked(FileNode* node, uint64_t new_size);
 
-  // Rebuilding auxiliary state from core state (§4.2).
+  // Auxiliary state (§4.2), rebuilt or dropped under map_mutex + op_lock exclusive.
   Status RebuildAux(FileNode* node);
+  void DropAux(FileNode* node);
 
   // Data-page plumbing.
   Status EnsureIndexCapacity(FileNode* node, uint64_t max_page_index);

@@ -87,11 +87,7 @@ Result<PageNumber> ArckFs::AllocDataPage(FileNode* node, uint64_t page_index, bo
     if (!node->reuse_pages.empty()) {
       page = node->reuse_pages.back();
       node->reuse_pages.pop_back();
-      if (!zero) {
-        // Recycled pages carry stale data; a full overwrite makes zeroing redundant, but a
-        // partial write must start from zeros.
-      }
-      zero = true;  // Conservative: recycled content must never leak.
+      zero = true;  // Recycled pages carry stale data, which must never leak.
     }
   }
   if (page == kInvalidPage) {

@@ -228,6 +228,7 @@ Status ArckFs::RemoveEntry(FileNode* dir, std::string_view name, bool must_be_di
     }
   }
 
+  DropNode(slot.ino);  // Before the ino is recycled: a create reusing it gets a new node.
   // If this file was created by us and never reconciled, its resources are still leased to
   // us: recycle them locally instead of waiting for kernel reclamation.
   const InoState state = kernel_.StateOfIno(slot.ino);
@@ -246,7 +247,6 @@ Status ArckFs::RemoveEntry(FileNode* dir, std::string_view name, bool must_be_di
     }
     leases_.RecycleIno(slot.ino);
   }
-  DropNode(slot.ino);
   return OkStatus();
 }
 
@@ -299,10 +299,7 @@ Result<Fd> ArckFs::Open(const std::string& path, OpenFlags flags, uint32_t mode)
       return slot.status();
     }
     node = GetOrCreateNode(slot->ino, parent->ino, /*is_dir=*/false, SlotPointer(*slot));
-    // A freshly created file is implicitly write-held by its creator: its pages are our
-    // leases and the kernel learns of it when the parent directory is next verified.
-    node->locally_created = true;
-    node->map_state.store(2, std::memory_order_release);
+    AdoptCreated(node.get());
     created = true;
   } else {
     UnlockOp(parent.get());
@@ -333,9 +330,7 @@ Status ArckFs::Mkdir(const std::string& path, uint32_t mode) {
     return slot.status();
   }
   NodePtr node = GetOrCreateNode(slot->ino, parent->ino, /*is_dir=*/true, SlotPointer(*slot));
-  node->locally_created = true;
-  node->map_state.store(2, std::memory_order_release);
-  node->dir_index = std::make_unique<DirIndex>();  // Empty directory aux.
+  AdoptCreated(node.get());
   return OkStatus();
 }
 

@@ -15,9 +15,6 @@ ArckFs::NodePtr ArckFs::GetOrCreateNode(Ino ino, Ino parent, bool is_dir,
   std::lock_guard<std::mutex> guard(shard.mutex);
   auto it = shard.nodes.find(ino);
   if (it != shard.nodes.end()) {
-    if (dirent != nullptr && it->second->dirent == nullptr) {
-      it->second->dirent = dirent;
-    }
     return it->second;
   }
   auto node = std::make_shared<FileNode>();
@@ -47,63 +44,93 @@ void ArckFs::DropNode(Ino ino) {
   }
 }
 
+namespace {
+
+// The map word (FileNode::map_word): generation << 2 | level.
+constexpr uint64_t kLevelMask = 3;
+
+int LevelOf(uint64_t word) { return static_cast<int>(word & kLevelMask); }
+
+// Level 0 in the next generation. Lock-free: OnQuarantine must not block on the node.
+void DropLevel(std::atomic<uint64_t>& word) {
+  uint64_t w = word.load(std::memory_order_relaxed);
+  while (!word.compare_exchange_weak(w, (w | kLevelMask) + 1)) {
+  }
+}
+
+}  // namespace
+
+bool ArckFs::MappedAt(const FileNode* node, int level) {
+  return LevelOf(node->map_word.load(std::memory_order_acquire)) >= level;
+}
+
 Status ArckFs::EnsureMapped(FileNode* node, bool write) {
   obs::TraceSpan span("EnsureMapped");
   std::unique_lock<std::mutex> guard(node->map_mutex);
   const int need = write ? 2 : 1;
   for (;;) {
-    if (!node->stale.load(std::memory_order_acquire) &&
-        node->map_state.load(std::memory_order_acquire) >= need) {
+    uint64_t snapshot = node->map_word.load(std::memory_order_acquire);
+    if (LevelOf(snapshot) >= need) {
       return OkStatus();
     }
-    const bool was_unmapped =
-        node->map_state.load(std::memory_order_relaxed) == 0 || node->stale.load();
-    const uint64_t revision = node->map_revision;
-    // The kernel crossing runs WITHOUT our node lock: MapFile may synchronously revoke
-    // the conflicting holder, and that holder's RevokeNode takes its own node's
-    // map_mutex — holding ours across the call is an ABBA inversion when two tenants
-    // revoke each other. If a revoke of THIS node lands in the unlocked window the
-    // revision moves and the (now possibly stale) grant is simply requested again.
+    // Unlocked across the kernel crossing (FileNode::map_word says why). Whatever moves
+    // the word meanwhile (another of our threads mapping the node, a revoke, a
+    // quarantine) voids the kernel's answer.
     guard.unlock();
     // Grant revalidation first: if the kernel still holds our grant (seqlock cache hit —
-    // no shard mutex on the kernel side), skip the full MapFile. Safe against concurrent
-    // revocation because RevokeNode holds this node's map_mutex for its whole duration:
-    // any revoke serializes either before this window (revision moves, we retry) or
-    // after we re-lock (stale flips and the next op remaps).
+    // no shard mutex on the kernel side), skip the full MapFile.
     Result<MapInfo> mapped = kernel_.LookupGrant(libfs_, node->ino);
     if (!mapped.ok() || (write && !mapped->writable)) {
       mapped = kernel_.MapFile(libfs_, node->parent, node->ino, write);
     }
     guard.lock();
-    TRIO_RETURN_IF_ERROR(mapped.status());
-    if (node->map_revision != revision) {
+    if (node->map_word.load(std::memory_order_acquire) != snapshot) {
       continue;
     }
+    TRIO_RETURN_IF_ERROR(mapped.status());
     const MapInfo& info = *mapped;
-    if (info.dirent_page == 0) {
-      node->dirent = &SuperblockOf(pool_)->root;
-    } else {
-      auto* page = reinterpret_cast<DirDataPage*>(pool_.PageAddress(info.dirent_page));
-      node->dirent = &page->slots[info.dirent_slot];
+    DirentBlock* dirent =
+        info.dirent_page == 0
+            ? &SuperblockOf(pool_)->root
+            : &reinterpret_cast<DirDataPage*>(pool_.PageAddress(info.dirent_page))
+                   ->slots[info.dirent_slot];
+    // The dirent moves and auxiliary state is rebuilt with ops excluded: an op admitted
+    // before a lock-free OnQuarantine may still be running on the old state.
+    std::unique_lock<BravoRwLock> ops(node->op_lock, std::defer_lock);
+    if (LevelOf(snapshot) == 0 || dirent != node->dirent) {
+      ops.lock();
+      node->dirent = dirent;
     }
-    if (was_unmapped) {
+    if (LevelOf(snapshot) == 0) {
       TRIO_RETURN_IF_ERROR(RebuildAux(node));
     }
-    node->stale.store(false, std::memory_order_release);
-    node->map_state.store(info.writable ? 2 : 1, std::memory_order_release);
-    return OkStatus();
+    if (node->map_word.compare_exchange_strong(
+            snapshot, (snapshot & ~kLevelMask) | (info.writable ? 2 : 1))) {
+      return OkStatus();
+    }
+  }
+}
+
+void ArckFs::AdoptCreated(FileNode* node) {
+  // Its resources are our leases; the kernel learns of it when the parent is verified.
+  std::lock_guard<std::mutex> guard(node->map_mutex);
+  uint64_t word = node->map_word.load(std::memory_order_acquire);
+  if (LevelOf(word) == 0) {
+    node->locally_created = true;
+    if (node->is_dir) {
+      node->dir_index = std::make_unique<DirIndex>();  // Built before level 2 is seen.
+    }
+    node->map_word.compare_exchange_strong(word, word | 2);
   }
 }
 
 Status ArckFs::AcquireOpLock(FileNode* node, int level) {
   for (int attempt = 0;; ++attempt) {
-    if (node->stale.load(std::memory_order_acquire) ||
-        node->map_state.load(std::memory_order_acquire) < level) {
+    if (!MappedAt(node, level)) {
       TRIO_RETURN_IF_ERROR(EnsureMapped(node, level == 2));
     }
     node->op_lock.lock_shared();
-    if (!node->stale.load(std::memory_order_acquire) &&
-        node->map_state.load(std::memory_order_acquire) >= level) {
+    if (MappedAt(node, level)) {
       return OkStatus();
     }
     node->op_lock.unlock_shared();
@@ -134,8 +161,7 @@ void ArckFs::RevokeNode(Ino ino) {
     return;
   }
   std::lock_guard<std::mutex> guard(node->map_mutex);
-  ++node->map_revision;  // Invalidate any MapFile grant in flight in EnsureMapped.
-  node->stale.store(true, std::memory_order_release);
+  DropLevel(node->map_word);  // Also voids any grant in flight in EnsureMapped.
   node->op_lock.lock();  // Drain in-flight operations.
   if (!config_.sync_data && !node->is_dir) {
     FlushDirtyData(node.get());  // Shared data must be durable before the handoff.
@@ -153,28 +179,9 @@ void ArckFs::RevokeNode(Ino ino) {
   // completed-but-ineffective revoke callbacks. UnmapFile is idempotent — it returns
   // kNotFound/kInvalidArgument when there is truly nothing to release.
   (void)kernel_.UnmapFile(libfs_, ino);
-  // Drop auxiliary state; it is rebuilt from the (possibly verified-and-rolled-back) core
-  // state on the next access.
-  node->radix.Clear();
-  node->index_pages.clear();
-  node->reuse_pages.clear();
-  {
-    // Promoted tier copies go too — after the handoff the kernel may digest a newer
-    // version of these pages, and a stale cached copy would serve old bytes.
-    std::vector<PageNumber> recycled;
-    promote_cache_.EraseFile(ino, &recycled);
-    for (PageNumber p : recycled) {
-      leases_.RecyclePage(p);
-    }
-  }
-  node->dir_index.reset();
-  node->dir_tails.clear();
-  node->dir_index_pages.clear();
-  node->dir_next_entry = 0;
+  DropAux(node.get());  // Rebuilt from the (possibly rolled-back) core state on next use.
   node->locally_created = false;
-  node->map_state.store(0, std::memory_order_release);
   node->op_lock.unlock();
-  node->stale.store(false, std::memory_order_release);
   stats_.revocations.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -185,10 +192,10 @@ void ArckFs::OnQuarantine(Ino ino, const Status& reason) {
   }
   NodePtr node = FindNode(ino);
   if (node != nullptr) {
-    // The kernel already stripped the mapping and rolled the file back; staleness makes
-    // the next op re-map and rebuild auxiliary state from the restored core state. No
-    // drain here: this may run on a watchdog thread while our own unmap holds the node.
-    node->stale.store(true, std::memory_order_release);
+    // The kernel already stripped the mapping and rolled the file back; the next op
+    // re-maps and rebuilds auxiliary state from the restored core state. No drain here:
+    // this may run on a watchdog thread while our own unmap holds the node.
+    DropLevel(node->map_word);
   }
 }
 
@@ -197,16 +204,34 @@ std::vector<std::pair<Ino, Status>> ArckFs::QuarantineNotices() {
   return quarantine_notices_;
 }
 
+void ArckFs::DropAux(FileNode* node) {
+  node->radix.Clear();
+  node->index_pages.clear();
+  node->reuse_pages.clear();
+  if (!node->is_dir) {
+    // Promoted tier copies go too: after a handoff the kernel may digest a newer version
+    // of these pages to new slots, and a stale cached copy would serve old bytes.
+    std::vector<PageNumber> recycled;
+    promote_cache_.EraseFile(node->ino, &recycled);
+    for (PageNumber p : recycled) {
+      leases_.RecyclePage(p);
+    }
+  }
+  node->dir_index.reset();
+  node->dir_tails.clear();
+  node->dir_tail_index.clear();
+  node->dir_first_nonfull.store(0, std::memory_order_relaxed);
+  node->dir_index_pages.clear();
+  node->dir_next_entry = 0;
+}
+
 Status ArckFs::RebuildAux(FileNode* node) {
   obs::TraceSpan span("RebuildAux");
   const uint64_t t0 = kernel_.clock()->NowNs();
   TRIO_CHECK(node->dirent != nullptr);
   const PageNumber first = node->dirent->first_index_page;
-
+  DropAux(node);
   if (!node->is_dir) {
-    node->radix.Clear();
-    node->index_pages.clear();
-    node->reuse_pages.clear();
     TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, first, [&](PageNumber p) -> Status {
       node->index_pages.push_back(p);
       return OkStatus();
@@ -218,20 +243,8 @@ Status ArckFs::RebuildAux(FileNode* node) {
           node->radix.Insert(index, entry);
           return OkStatus();
         }));
-    // Promoted copies from a previous mapping epoch are untrustworthy: the pages may
-    // have been rewritten and re-digested to new slots while we held no grant.
-    std::vector<PageNumber> recycled;
-    promote_cache_.EraseFile(node->ino, &recycled);
-    for (PageNumber p : recycled) {
-      leases_.RecyclePage(p);
-    }
   } else {
     node->dir_index = std::make_unique<DirIndex>();
-    node->dir_tails.clear();
-    node->dir_tail_index.clear();
-    node->dir_first_nonfull.store(0, std::memory_order_relaxed);
-    node->dir_index_pages.clear();
-    node->dir_next_entry = 0;
     TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, first, [&](PageNumber p) -> Status {
       node->dir_index_pages.push_back(p);
       return OkStatus();

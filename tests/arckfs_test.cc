@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -449,6 +451,42 @@ TEST_F(ArckFsTest, ConcurrentNamespaceChurnLeavesCleanImage) {
   for (auto& th : threads) {
     th.join();
   }
+
+  // Adoption: two threads Mkdir while the other two create a file in each new directory
+  // as soon as its name resolves. Until Mkdir publishes the directory (empty index
+  // first, then the write level) a create there fails with NotFound and is retried.
+  constexpr int kDirs = kRounds;
+  constexpr int kMakers = 2;
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      for (int i = 0; i < kDirs; ++i) {
+        const std::string dir = "/d" + std::to_string(i);
+        if (t < kMakers) {
+          if (i % kMakers == t) {
+            ASSERT_TRUE(fs_->Mkdir(dir).ok()) << dir;
+          }
+          continue;
+        }
+        const std::string path = dir + "/c" + std::to_string(t);
+        Result<Fd> fd = fs_->Open(path, OpenFlags::CreateRw());
+        while (!fd.ok()) {
+          ASSERT_TRUE(fd.status().Is(ErrorCode::kNotFound)) << path << ": "
+                                                            << fd.status().ToString();
+          ASSERT_LT(std::chrono::steady_clock::now(), deadline) << path;
+          std::this_thread::yield();
+          fd = fs_->Open(path, OpenFlags::CreateRw());
+        }
+        ASSERT_TRUE(fs_->Pwrite(*fd, path.data(), path.size(), 0).ok());
+        ASSERT_TRUE(fs_->Close(*fd).ok());
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+
   for (int t = 0; t < kThreads; ++t) {
     Result<std::vector<DirEntryInfo>> entries = fs_->ReadDir("/p" + std::to_string(t));
     ASSERT_TRUE(entries.ok());
@@ -457,6 +495,11 @@ TEST_F(ArckFsTest, ConcurrentNamespaceChurnLeavesCleanImage) {
   Result<std::vector<DirEntryInfo>> shared = fs_->ReadDir("/shared");
   ASSERT_TRUE(shared.ok());
   EXPECT_TRUE(shared->empty());
+  for (int i = 0; i < kDirs; ++i) {
+    Result<std::vector<DirEntryInfo>> entries = fs_->ReadDir("/d" + std::to_string(i));
+    ASSERT_TRUE(entries.ok());
+    EXPECT_EQ(entries->size(), static_cast<size_t>(kThreads - kMakers));
+  }
 
   fs_.reset();  // Teardown verifies every open write session.
   Result<FsckReport> report = RunFsck(pool_);
@@ -464,7 +507,106 @@ TEST_F(ArckFsTest, ConcurrentNamespaceChurnLeavesCleanImage) {
   for (const FsckProblem& problem : report->problems) {
     ADD_FAILURE() << problem.invariant << " ino " << problem.ino << ": " << problem.detail;
   }
-  EXPECT_EQ(report->regular_files, static_cast<uint64_t>(kThreads * (kRounds + kRounds / 2)));
+  EXPECT_EQ(report->regular_files,
+            static_cast<uint64_t>(kThreads * (kRounds + kRounds / 2) +
+                                  kDirs * (kThreads - kMakers)));
+}
+
+// Two threads of one LibFS remap a released file while a raw tenant holds its write
+// grant. The tenant's revoke callback waits until both threads have asked the kernel for
+// the file, so both are inside EnsureMapped's unlocked kernel crossing at once. Exactly
+// one of them may rebuild the node's auxiliary state: a second rebuild would clear the
+// index chain under the other thread's write.
+TEST_F(ArckFsTest, ConcurrentRemapRebuildsAuxOnce) {
+  // Long leases, so the watchdog never abandons the held revoke callback.
+  fs_.reset();
+  TRIO_CHECK_OK(kernel_->Unmount());
+  KernelConfig config;
+  config.lease_ms = 60000;
+  kernel_ = std::make_unique<KernelController>(pool_, config);
+  TRIO_CHECK_OK(kernel_->Mount());
+  fs_ = std::make_unique<ArckFs>(*kernel_);
+
+  WriteFile("/f", "seed");
+  Result<StatInfo> info = fs_->Stat("/f");
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/f").ok());
+
+  std::atomic<int> revokes{0};
+  std::atomic<bool> latch{false};
+  std::atomic<LibFsId> tenant{kNoLibFs};
+  LibFsOptions options;
+  options.callbacks.revoke = [&](Ino ino) {
+    revokes.fetch_add(1);
+    while (!latch.load()) {
+      std::this_thread::yield();
+    }
+    (void)kernel_->UnmapFile(tenant.load(), ino);
+  };
+  tenant = kernel_->RegisterLibFs(options);
+  ASSERT_TRUE(kernel_->MapFile(tenant, kRootIno, info->ino, /*write=*/true).ok());
+
+  const uint64_t rebuilds = fs_->libfs_stats().rebuilds.load();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Result<Fd> fd = fs_->Open("/f", OpenFlags::ReadWrite());
+      ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+      const std::string data(64, static_cast<char>('a' + t));
+      ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), (t + 1) * kPageSize).ok());
+      ASSERT_TRUE(fs_->Close(*fd).ok());
+    });
+  }
+  // Each thread's MapFile revokes the tenant: two callbacks in flight means both threads
+  // are in the crossing.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (revokes.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(revokes.load(), 2);
+  latch = true;
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(fs_->libfs_stats().rebuilds.load() - rebuilds, 1u);
+  const std::string data = ReadAll("/f");
+  ASSERT_EQ(data.size(), 2 * kPageSize + 64);
+  EXPECT_EQ(data.substr(0, 4), "seed");
+  EXPECT_EQ(data.substr(kPageSize, 64), std::string(64, 'a'));
+  EXPECT_EQ(data.substr(2 * kPageSize, 64), std::string(64, 'b'));
+  kernel_->UnregisterLibFs(tenant);
+}
+
+// The same race left to the scheduler: each round releases the file, then two threads
+// of the LibFS reopen it for writing and link a fresh page each.
+TEST_F(ArckFsTest, ConcurrentRemapOfAReleasedFile) {
+  constexpr int kRounds = 2000;
+  WriteFile("/f", "seed");
+  const std::string data(64, 'x');
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(fs_->ReleaseFile("/f").ok());
+    const uint64_t rebuilds = fs_->libfs_stats().rebuilds.load();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        Result<Fd> fd = fs_->Open("/f", OpenFlags::ReadWrite());
+        ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+        const uint64_t page = 1 + 2 * round + t;
+        ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), page * kPageSize).ok());
+        ASSERT_TRUE(fs_->Close(*fd).ok());
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    ASSERT_EQ(fs_->libfs_stats().rebuilds.load() - rebuilds, 1u) << "round " << round;
+  }
+  fs_.reset();
+  Result<FsckReport> report = RunFsck(pool_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const FsckProblem& problem : report->problems) {
+    ADD_FAILURE() << problem.invariant << " ino " << problem.ino << ": " << problem.detail;
+  }
 }
 
 // Exposes ArckFs's protected node table.
@@ -473,7 +615,10 @@ class NodeTableProbe : public ArckFs {
   using ArckFs::ArckFs;
   using ArckFs::FileNode;
   using ArckFs::FindNode;
+  using ArckFs::LockForOp;
   using ArckFs::NodePtr;
+  using ArckFs::OnQuarantine;
+  using ArckFs::UnlockOp;
 };
 
 // An unlink drops the node from the table, but an op still holding its NodePtr keeps it
@@ -497,6 +642,45 @@ TEST_F(ArckFsTest, DroppedNodeStaysValidWhileAnOpHoldsIt) {
   held->radix.Clear();  // Its auxiliary state is still owned memory.
   held.reset();
   EXPECT_TRUE(watch.expired());
+}
+
+// A quarantine drops a node's map level without draining its ops. The remap that
+// follows must not rebuild auxiliary state under an op admitted before the quarantine.
+TEST_F(ArckFsTest, ConcurrentRebuildWaitsForInFlightOp) {
+  NodeTableProbe probe(*kernel_);
+  Result<Fd> fd = probe.Open("/q", OpenFlags::CreateRw());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ASSERT_TRUE(probe.Pwrite(*fd, "payload", 7, 0).ok());
+  ASSERT_TRUE(probe.Close(*fd).ok());
+  ASSERT_TRUE(probe.ReleaseFile("/q").ok());  // Reconciled: the kernel knows the file.
+  fd = probe.Open("/q", OpenFlags::ReadWrite());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  Result<StatInfo> info = probe.Stat("/q");
+  ASSERT_TRUE(info.ok());
+  NodeTableProbe::NodePtr node = probe.FindNode(info->ino);
+  ASSERT_NE(node, nullptr);
+
+  ASSERT_TRUE(probe.LockForOp(node.get(), 2).ok());
+  probe.OnQuarantine(info->ino, Corrupted("delivered by the test"));
+  const uint64_t rebuilds = probe.libfs_stats().rebuilds.load();
+  std::thread remap([&] {
+    ASSERT_TRUE(probe.LockForOp(node.get(), 2).ok());
+    probe.UnlockOp(node.get());
+  });
+  const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < until &&
+         probe.libfs_stats().rebuilds.load() == rebuilds) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(probe.libfs_stats().rebuilds.load(), rebuilds) << "rebuilt under a live op";
+  probe.UnlockOp(node.get());
+  remap.join();
+  EXPECT_EQ(probe.libfs_stats().rebuilds.load() - rebuilds, 1u);
+  char buf[8] = {};
+  Result<size_t> n = probe.Pread(*fd, buf, 7, 0);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(std::string(buf, *n), "payload");
+  ASSERT_TRUE(probe.Close(*fd).ok());
 }
 
 // ---- Sharing between two LibFSes (the Trio handoff protocol, §3.2/§4.3) ----
