@@ -104,78 +104,6 @@ ShadowInode* ShadowInodeOf(NvmPool& pool, Ino ino) {
 
 PageNumber FileRegionStart(const NvmPool& pool) { return SuperblockOf(pool)->file_region_page; }
 
-bool ValidFilePage(const NvmPool& pool, PageNumber page) {
-  const Superblock* sb = SuperblockOf(pool);
-  return page >= sb->file_region_page && page < sb->total_pages;
-}
-
-Status ForEachIndexPage(const NvmPool& pool, PageNumber first_index_page,
-                        const std::function<Status(PageNumber)>& fn) {
-  PageNumber page = first_index_page;
-  uint64_t visited = 0;
-  while (page != 0) {
-    if (!ValidFilePage(pool, page)) {
-      return Corrupted("index page number out of range");
-    }
-    if (++visited > pool.num_pages()) {
-      return Corrupted("cycle in index page chain");
-    }
-    TRIO_RETURN_IF_ERROR(fn(page));
-    page = reinterpret_cast<const IndexPage*>(pool.PageAddress(page))->next;
-  }
-  return OkStatus();
-}
-
-Status ForEachDataPage(const NvmPool& pool, PageNumber first_index_page,
-                       const std::function<Status(uint64_t, PageNumber)>& fn) {
-  return ForEachDataEntry(pool, first_index_page, [&](uint64_t index, uint64_t entry) -> Status {
-    if (IsTierEntry(entry)) {
-      return OkStatus();  // Digested to the backend; not an NVM page.
-    }
-    return fn(index, entry);
-  });
-}
-
-Status ForEachDataEntry(const NvmPool& pool, PageNumber first_index_page,
-                        const std::function<Status(uint64_t, uint64_t)>& fn) {
-  uint64_t base_index = 0;
-  return ForEachIndexPage(pool, first_index_page, [&](PageNumber page) -> Status {
-    const auto* index = reinterpret_cast<const IndexPage*>(pool.PageAddress(page));
-    for (size_t i = 0; i < kIndexEntriesPerPage; ++i) {
-      const uint64_t entry = index->entries[i];
-      if (entry == 0) {
-        continue;  // Hole.
-      }
-      if (!IsTierEntry(entry) && !ValidFilePage(pool, entry)) {
-        return Corrupted("data page number out of range");
-      }
-      TRIO_RETURN_IF_ERROR(fn(base_index + i, entry));
-    }
-    base_index += kIndexEntriesPerPage;
-    return OkStatus();
-  });
-}
-
-Status ForEachDirent(NvmPool& pool, PageNumber first_index_page,
-                     const std::function<Status(DirentBlock*, PageNumber, size_t)>& fn) {
-  return ForEachDataPage(pool, first_index_page,
-                         [&](uint64_t /*file_page_index*/, PageNumber page) -> Status {
-                           auto* dir_page = reinterpret_cast<DirDataPage*>(pool.PageAddress(page));
-                           for (size_t slot = 0; slot < kDirentsPerPage; ++slot) {
-                             DirentBlock* dirent = &dir_page->slots[slot];
-                             // The ino is the atomic publish field (§4.4): an acquire
-                             // load pairs with the writer's release store so a dirent is
-                             // either invisible or fully written — the kernel scans
-                             // pages a LibFS may be committing to concurrently.
-                             if (pool.Load64(&dirent->ino) == kInvalidIno) {
-                               continue;
-                             }
-                             TRIO_RETURN_IF_ERROR(fn(dirent, page, slot));
-                           }
-                           return OkStatus();
-                         });
-}
-
 Result<uint64_t> CountDirents(NvmPool& pool, PageNumber first_index_page) {
   uint64_t count = 0;
   Status status = ForEachDirent(pool, first_index_page,

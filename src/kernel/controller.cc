@@ -26,6 +26,7 @@ namespace trio {
 using controller_internal::PackStateLessee;
 using controller_internal::UnpackStateLessee;
 using controller_internal::VerifyDeadline;
+using controller_internal::WmapLogOf;
 using controller_internal::WmapSlots;
 
 thread_local uint64_t ShardRank::held_mask_ = 0;
@@ -236,6 +237,10 @@ Status KernelController::Mount() {
   ino_cache_.Clear();
   grant_cache_.Clear();
   {
+    std::lock_guard<std::mutex> guard(wmap_mu_);
+    LoadWmapIndexLocked();
+  }
+  {
     std::lock_guard<std::mutex> guard(alloc_mu_);
     free_pages_by_node_.assign(pool_.topology().num_nodes, {});
     free_inos_.clear();
@@ -425,7 +430,7 @@ Status KernelController::RunRecovery() {
   // no-op.
   Superblock* sb = SuperblockOf(pool_);
   std::vector<Ino> to_verify;
-  auto* log = reinterpret_cast<uint64_t*>(pool_.PageAddress(sb->wmap_log_page));
+  uint64_t* log = WmapLogOf(pool_);
   const bool overflow = pool_.Load64(&sb->wmap_log_overflow) != 0;
   if (overflow || program_timed_out) {
     for (size_t si = 0; si < shards_.size(); ++si) {
@@ -522,6 +527,7 @@ Status KernelController::RunRecovery() {
     if (overflow) {
       span.CommitStore64(&sb->wmap_log_overflow, 0);
     }
+    LoadWmapIndexLocked();
   }
   needs_recovery_ = false;
   return OkStatus();
@@ -1008,20 +1014,33 @@ bool KernelController::IsMovePermitted(Ino child, Ino new_parent, LibFsId writer
 // Write-map log (crash recovery, §4.4)
 // ---------------------------------------------------------------------------
 
-void KernelController::WmapLogAdd(Ino ino) {
-  std::lock_guard<std::mutex> guard(wmap_mu_);
-  auto* log = reinterpret_cast<uint64_t*>(pool_.PageAddress(SuperblockOf(pool_)->wmap_log_page));
-  const size_t slots = WmapSlots(pool_);
-  for (size_t i = 0; i < slots; ++i) {
-    if (pool_.Load64(&log[i]) == ino) {
-      return;
+void KernelController::LoadWmapIndexLocked() {
+  const uint64_t* log = WmapLogOf(pool_);
+  wmap_slot_of_.clear();
+  wmap_free_.clear();
+  // Descending, so the lowest empty slot is handed out first and a duplicated ino (only
+  // a damaged image has one) indexes its lowest slot; recovery retires the rest.
+  for (size_t i = WmapSlots(pool_); i-- > 0;) {
+    const Ino ino = pool_.Load64(&log[i]);
+    if (ino == kInvalidIno) {
+      wmap_free_.push_back(static_cast<uint32_t>(i));
+    } else {
+      wmap_slot_of_[ino] = static_cast<uint32_t>(i);
     }
   }
-  for (size_t i = 0; i < slots; ++i) {
-    if (pool_.Load64(&log[i]) == kInvalidIno) {
-      obs::PersistSpan(pool_, &persist_stats_).CommitStore64(&log[i], ino);
-      return;
-    }
+}
+
+void KernelController::WmapLogAdd(Ino ino) {
+  std::lock_guard<std::mutex> guard(wmap_mu_);
+  if (wmap_slot_of_.count(ino) != 0) {
+    return;
+  }
+  if (!wmap_free_.empty()) {
+    const uint32_t slot = wmap_free_.back();
+    wmap_free_.pop_back();
+    obs::PersistSpan(pool_, &persist_stats_).CommitStore64(&WmapLogOf(pool_)[slot], ino);
+    wmap_slot_of_.emplace(ino, slot);
+    return;
   }
   // Log full: fall back to verify-everything-at-recovery semantics.
   Superblock* sb = SuperblockOf(pool_);
@@ -1033,13 +1052,14 @@ void KernelController::WmapLogAdd(Ino ino) {
 
 void KernelController::WmapLogRemove(Ino ino) {
   std::lock_guard<std::mutex> guard(wmap_mu_);
-  auto* log = reinterpret_cast<uint64_t*>(pool_.PageAddress(SuperblockOf(pool_)->wmap_log_page));
-  for (size_t i = 0; i < WmapSlots(pool_); ++i) {
-    if (pool_.Load64(&log[i]) == ino) {
-      obs::PersistSpan(pool_, &persist_stats_).CommitStore64(&log[i], kInvalidIno);
-      return;
-    }
+  auto it = wmap_slot_of_.find(ino);
+  if (it == wmap_slot_of_.end()) {
+    return;
   }
+  obs::PersistSpan(pool_, &persist_stats_)
+      .CommitStore64(&WmapLogOf(pool_)[it->second], kInvalidIno);
+  wmap_free_.push_back(it->second);
+  wmap_slot_of_.erase(it);
 }
 
 // ---------------------------------------------------------------------------

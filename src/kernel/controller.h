@@ -533,6 +533,8 @@ class KernelController : public OwnershipView, public VerifyEnv {
                         std::unordered_set<Ino>* seen_inos);
   void WmapLogAdd(Ino ino);
   void WmapLogRemove(Ino ino);
+  // Rebuilds the write-map log's DRAM index from the media. Caller holds wmap_mu_.
+  void LoadWmapIndexLocked();
   uint64_t NowNs() { return clock_->NowNs(); }
 
   NvmPool& pool_;
@@ -587,7 +589,12 @@ class KernelController : public OwnershipView, public VerifyEnv {
   Ino next_ino_ = 2;
   std::vector<Ino> free_inos_;
 
-  std::mutex wmap_mu_;  // Serializes write-map log read-modify-write cycles.
+  // Write-map log (§4.4). The media format is a flat array of ino slots; this DRAM index
+  // over it makes add and remove O(1). Loaded from the media at Mount, reloaded when
+  // RunRecovery retires the log.
+  std::mutex wmap_mu_;  // Guards the index and serializes log updates.
+  std::unordered_map<Ino, uint32_t> wmap_slot_of_;  // Logged ino -> its slot.
+  std::vector<uint32_t> wmap_free_;  // Empty slots; back() is handed out next.
 
   bool mounted_ = false;
   bool needs_recovery_ = false;  // Mount/RunRecovery/Unmount are single-threaded.

@@ -59,6 +59,10 @@ inline size_t WmapSlots(const NvmPool& pool) {
   return SuperblockOf(pool)->wmap_log_pages * kPageSize / sizeof(uint64_t);
 }
 
+inline uint64_t* WmapLogOf(NvmPool& pool) {
+  return reinterpret_cast<uint64_t*>(pool.PageAddress(SuperblockOf(pool)->wmap_log_page));
+}
+
 // --- seqlock-cache payload packing -----------------------------------------------------
 // Page/ino states pack as {state | lessee << 8, owner-or-parent}; grants pack as
 // {dirent_page, holder << 9 | slot << 1 | writable, lease_deadline_ns}. kDirentsPerPage

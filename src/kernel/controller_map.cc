@@ -39,37 +39,49 @@ DirentBlock* KernelController::DirentOfLocked(const FileRecord& record) const {
   return &page->slots[record.dirent_slot];
 }
 
+namespace {
+
+// A mapping's pages plus its dirent page, gathered for one batched MmuSim call. Reused
+// per thread: a handoff grants and revokes a whole file, so this runs twice per transfer.
+std::vector<PageNumber>& MappingBatch() {
+  thread_local std::vector<PageNumber> batch;
+  batch.clear();
+  return batch;
+}
+
+}  // namespace
+
 void KernelController::GrantFilePagesLocked(LibFsId libfs, const FileRecord& record,
                                             bool write) {
-  const PagePerm perm = write ? PagePerm::kReadWrite : PagePerm::kRead;
-  for (PageNumber page : record.pages) {
-    mmu_.Grant(libfs, page, perm);
-  }
+  std::vector<PageNumber>& batch = MappingBatch();
+  batch.assign(record.pages.begin(), record.pages.end());
   if (record.dirent_page != 0) {
     // The co-located inode lives in the parent's data page (§4.1): stat needs read, size /
     // metadata updates need write. Page-granularity is the documented caveat here.
-    mmu_.Grant(libfs, record.dirent_page, perm);
+    batch.push_back(record.dirent_page);
   }
+  mmu_.Grant(libfs, batch, write ? PagePerm::kReadWrite : PagePerm::kRead);
 }
 
 void KernelController::RevokeFilePagesLocked(LibFsId libfs, const FileRecord& record,
                                              bool write) {
-  const PagePerm perm = write ? PagePerm::kReadWrite : PagePerm::kRead;
+  std::vector<PageNumber>& batch = MappingBatch();
   for (PageNumber page : record.pages) {
     // Leave leased pages mapped; only release the file's own pages.
     const PageState state = page_table_.Get(page);
     if (state.state == ResourceState::kLeased && state.lessee == libfs) {
       continue;
     }
-    mmu_.Revoke(libfs, page, perm);
+    batch.push_back(page);
   }
   if (record.dirent_page != 0) {
     // Refcounted: dropping THIS mapping's dirent reference cannot strip a sibling
     // mapping's justification, so the old cross-file "strongest surviving permission"
     // rescan (which read every other record this LibFS had mapped — a cross-shard walk
     // the one-big-mutex silently permitted) is gone.
-    mmu_.Revoke(libfs, record.dirent_page, perm);
+    batch.push_back(record.dirent_page);
   }
+  mmu_.Revoke(libfs, batch, write ? PagePerm::kReadWrite : PagePerm::kRead);
 }
 
 void KernelController::PublishGrantLocked(const FileRecord& record, LibFsId holder,

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "src/core/ownership.h"
@@ -32,23 +33,33 @@ class MmuSim {
   MmuSim() = default;
 
   // Add one reference of strength `perm` (kNone is a no-op).
-  void Grant(LibFsId libfs, PageNumber page, PagePerm perm) {
-    if (perm == PagePerm::kNone) {
-      return;
-    }
-    std::lock_guard<std::mutex> guard(mutex_);
-    Ref& ref = tables_[libfs][page];
-    if (perm == PagePerm::kReadWrite) {
-      ++ref.rw;
-    } else {
-      ++ref.ro;
-    }
-  }
+  void Grant(LibFsId libfs, PageNumber page, PagePerm perm) { Grant(libfs, {&page, 1}, perm); }
 
   // Release one reference of strength `perm` (floors at zero: a forgiving release of an
   // unheld reference must not strip somebody else's justification).
   void Revoke(LibFsId libfs, PageNumber page, PagePerm perm) {
-    if (perm == PagePerm::kNone) {
+    Revoke(libfs, {&page, 1}, perm);
+  }
+
+  // Batch forms over a mapping's pages: one lock and one table lookup for the whole list.
+  void Grant(LibFsId libfs, std::span<const PageNumber> pages, PagePerm perm) {
+    if (perm == PagePerm::kNone || pages.empty()) {
+      return;
+    }
+    std::lock_guard<std::mutex> guard(mutex_);
+    auto& table = tables_[libfs];
+    for (PageNumber page : pages) {
+      Ref& ref = table[page];
+      if (perm == PagePerm::kReadWrite) {
+        ++ref.rw;
+      } else {
+        ++ref.ro;
+      }
+    }
+  }
+
+  void Revoke(LibFsId libfs, std::span<const PageNumber> pages, PagePerm perm) {
+    if (perm == PagePerm::kNone || pages.empty()) {
       return;
     }
     std::lock_guard<std::mutex> guard(mutex_);
@@ -56,18 +67,20 @@ class MmuSim {
     if (table == tables_.end()) {
       return;
     }
-    auto it = table->second.find(page);
-    if (it == table->second.end()) {
-      return;
-    }
-    Ref& ref = it->second;
-    if (perm == PagePerm::kReadWrite) {
-      ref.rw -= ref.rw > 0 ? 1 : 0;
-    } else {
-      ref.ro -= ref.ro > 0 ? 1 : 0;
-    }
-    if (ref.rw == 0 && ref.ro == 0) {
-      table->second.erase(it);
+    for (PageNumber page : pages) {
+      auto it = table->second.find(page);
+      if (it == table->second.end()) {
+        continue;
+      }
+      Ref& ref = it->second;
+      if (perm == PagePerm::kReadWrite) {
+        ref.rw -= ref.rw > 0 ? 1 : 0;
+      } else {
+        ref.ro -= ref.ro > 0 ? 1 : 0;
+      }
+      if (ref.rw == 0 && ref.ro == 0) {
+        table->second.erase(it);
+      }
     }
   }
 

@@ -178,6 +178,11 @@ class ArckFs : public FsInterface, private RingPassHooks {
     std::vector<PageNumber> reuse_pages;  // Owned, unlinked by truncate; reusable in-file.
     std::unordered_set<PageNumber> dirty_pages;  // Relaxed-data mode: awaiting fsync.
     SpinLock dirty_lock;
+    // May the promote cache hold copies of this file's pages? Set by ReadTierPage (under
+    // op_lock shared), tested and cleared by DropAux (op_lock exclusive), which skips the
+    // cache scan when clear. Starts set: copies from an earlier node of a reused ino may
+    // still be cached.
+    std::atomic<bool> may_hold_promoted{true};
 
     // Directory auxiliary state (§4.2).
     std::unique_ptr<DirIndex> dir_index;

@@ -124,6 +124,7 @@ Status ArckFs::ReadTierPage(FileNode* node, uint64_t page_index, uint64_t slot,
     return promoted;
   }
   pool_.Read(dst, pool_.PageAddress(dest) + in_page, len);
+  node->may_hold_promoted.store(true, std::memory_order_relaxed);
   const PageNumber displaced = promote_cache_.Insert(node->ino, page_index, dest);
   if (displaced != 0) {
     leases_.RecyclePage(displaced);

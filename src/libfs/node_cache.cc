@@ -208,7 +208,7 @@ void ArckFs::DropAux(FileNode* node) {
   node->radix.Clear();
   node->index_pages.clear();
   node->reuse_pages.clear();
-  if (!node->is_dir) {
+  if (!node->is_dir && node->may_hold_promoted.exchange(false, std::memory_order_relaxed)) {
     // Promoted tier copies go too: after a handoff the kernel may digest a newer version
     // of these pages to new slots, and a stale cached copy would serve old bytes.
     std::vector<PageNumber> recycled;

@@ -44,7 +44,7 @@ bool PromoteCache::ReadHit(Ino ino, uint64_t page_index, uint64_t in_page, void*
     stats_.promote_misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(ino);
   for (int attempt = 0; attempt < 4; ++attempt) {
     const uint64_t seq0 = shard.seq.load(std::memory_order_acquire);
     if (seq0 & 1) {
@@ -86,7 +86,7 @@ PageNumber PromoteCache::Insert(Ino ino, uint64_t page_index, PageNumber page) {
   if (key == 0 || !enabled()) {
     return page;  // Uncacheable: hand the promoted page straight back.
   }
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(ino);
   std::lock_guard<SpinLock> guard(shard.lock);
   // Duplicate promote (two readers missed concurrently): keep the incumbent copy — it
   // is byte-identical (backend slots are write-once) — and recycle the newcomer.
@@ -113,7 +113,7 @@ PageNumber PromoteCache::Erase(Ino ino, uint64_t page_index) {
   if (key == 0 || !enabled()) {
     return 0;
   }
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(ino);
   std::lock_guard<SpinLock> guard(shard.lock);
   for (Slot& slot : shard.slots) {
     if (slot.key.load(std::memory_order_relaxed) == key) {
@@ -133,26 +133,25 @@ void PromoteCache::EraseFile(Ino ino, std::vector<PageNumber>* recycled) {
   if (!enabled()) {
     return;
   }
-  for (Shard& shard : shards_) {
-    std::lock_guard<SpinLock> guard(shard.lock);
-    bool bumped = false;
-    for (Slot& slot : shard.slots) {
-      const uint64_t key = slot.key.load(std::memory_order_relaxed);
-      if (key == 0 || (key >> kIndexKeyBits) != ino) {
-        continue;
-      }
-      if (!bumped) {
-        shard.seq.fetch_add(1, std::memory_order_acq_rel);
-        bumped = true;
-      }
-      recycled->push_back(slot.page);
-      slot.key.store(0, std::memory_order_relaxed);
-      slot.page = 0;
-      slot.referenced.store(0, std::memory_order_relaxed);
+  Shard& shard = ShardFor(ino);
+  std::lock_guard<SpinLock> guard(shard.lock);
+  bool bumped = false;
+  for (Slot& slot : shard.slots) {
+    const uint64_t key = slot.key.load(std::memory_order_relaxed);
+    if (key == 0 || (key >> kIndexKeyBits) != ino) {
+      continue;
     }
-    if (bumped) {
-      shard.seq.fetch_add(1, std::memory_order_release);
+    if (!bumped) {
+      shard.seq.fetch_add(1, std::memory_order_acq_rel);
+      bumped = true;
     }
+    recycled->push_back(slot.page);
+    slot.key.store(0, std::memory_order_relaxed);
+    slot.page = 0;
+    slot.referenced.store(0, std::memory_order_relaxed);
+  }
+  if (bumped) {
+    shard.seq.fetch_add(1, std::memory_order_release);
   }
 }
 

@@ -14,6 +14,9 @@
 //
 // Eviction is CLOCK over per-slot access bits.
 //
+// A copy's shard is picked by its ino alone, so all of one file's copies share a shard
+// and EraseFile (run on every handoff of a file that promoted) scans one shard.
+//
 // The cache never owns pages: Insert/Erase/EraseFile hand evicted page numbers back to
 // the caller, who recycles them into its LeaseCache.
 
@@ -69,6 +72,7 @@ class PromoteCache {
   PageNumber Erase(Ino ino, uint64_t page_index);
 
   // Drop every entry for `ino` (revocation/teardown); appends recyclable pages to out.
+  // Scans the one shard that holds the file's copies.
   void EraseFile(Ino ino, std::vector<PageNumber>* recycled);
 
   PromoteCacheStats& stats() { return stats_; }
@@ -101,9 +105,7 @@ class PromoteCache {
     return (static_cast<uint64_t>(ino) << kIndexKeyBits) | (page_index + 1);
   }
 
-  Shard& ShardFor(uint64_t key) {
-    return shards_[(key * 11400714819323198485ull) >> shift_];
-  }
+  Shard& ShardFor(Ino ino) { return shards_[(ino * 11400714819323198485ull) >> shift_]; }
 
   static constexpr uint64_t kIndexKeyBits = 24;
 

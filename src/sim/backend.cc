@@ -1,5 +1,6 @@
 #include "src/sim/backend.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -25,9 +26,10 @@ uint64_t SlowBackend::WritePage(const void* src, Ino owner) {
   uint64_t slot;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    slot = next_slot_++;
-    data_.emplace(slot, std::move(copy));
-    owners_.emplace(slot, owner);
+    slot = data_.size();
+    data_.push_back(std::move(copy));
+    owners_.push_back(owner);
+    ++owned_;
   }
   stats_.backend_pages_written.fetch_add(1, std::memory_order_relaxed);
   stats_.backend_bytes_written.fetch_add(kPageSize, std::memory_order_relaxed);
@@ -36,14 +38,15 @@ uint64_t SlowBackend::WritePage(const void* src, Ino owner) {
 }
 
 Status SlowBackend::ReadPage(uint64_t slot, void* dst) const {
+  const char* src;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = data_.find(slot);
-    if (it == data_.end()) {
+    if (!WrittenLocked(slot)) {
       return NotFound("backend slot was never written");
     }
-    std::memcpy(dst, it->second.get(), kPageSize);
+    src = data_[slot].get();  // Stable: the vector moves pointers, never the pages.
   }
+  std::memcpy(dst, src, kPageSize);  // Write-once: no writer can race the copy.
   stats_.backend_pages_read.fetch_add(1, std::memory_order_relaxed);
   stats_.backend_bytes_read.fetch_add(kPageSize, std::memory_order_relaxed);
   SpinDelayNs(cost_model_.read_ns_per_page);
@@ -52,19 +55,18 @@ Status SlowBackend::ReadPage(uint64_t slot, void* dst) const {
 
 Status SlowBackend::Free(uint64_t slot, Ino owner) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = owners_.find(slot);
-  if (it == owners_.end() || it->second != owner) {
+  if (!OwnedByLocked(slot, owner)) {
     return InvalidArgument("backend slot not owned by caller");
   }
-  owners_.erase(it);  // Data stays: write-once media contract.
+  owners_[slot] = kInvalidIno;  // Data stays: write-once media contract.
+  --owned_;
   return OkStatus();
 }
 
 bool SlowBackend::OwnsAll(Ino owner, const std::vector<uint64_t>& slots) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (uint64_t slot : slots) {
-    auto it = owners_.find(slot);
-    if (it == owners_.end() || it->second != owner) {
+    if (!OwnedByLocked(slot, owner)) {
       return false;
     }
   }
@@ -73,32 +75,39 @@ bool SlowBackend::OwnsAll(Ino owner, const std::vector<uint64_t>& slots) const {
 
 void SlowBackend::BeginRebuild() {
   std::lock_guard<std::mutex> lock(mu_);
-  owners_.clear();
+  std::fill(owners_.begin(), owners_.end(), kInvalidIno);
+  owned_ = 0;
 }
 
 Status SlowBackend::Adopt(uint64_t slot, Ino owner) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (data_.find(slot) == data_.end()) {
+  if (!WrittenLocked(slot)) {
     return Corrupted("tier entry references a backend slot that was never written");
   }
-  auto [it, inserted] = owners_.emplace(slot, owner);
-  if (!inserted && it->second != owner) {
-    return Corrupted("backend slot referenced by two files");
+  if (owners_[slot] != kInvalidIno) {
+    return Corrupted(owners_[slot] != owner ? "backend slot referenced by two files"
+                                            : "backend slot referenced twice");
   }
-  if (!inserted) {
-    return Corrupted("backend slot referenced twice");
-  }
+  owners_[slot] = owner;
+  ++owned_;
   return OkStatus();
 }
 
 std::unordered_map<uint64_t, Ino> SlowBackend::SlotOwners() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return owners_;
+  std::unordered_map<uint64_t, Ino> owners;
+  owners.reserve(owned_);
+  for (uint64_t slot = 1; slot < owners_.size(); ++slot) {
+    if (owners_[slot] != kInvalidIno) {
+      owners.emplace(slot, owners_[slot]);
+    }
+  }
+  return owners;
 }
 
 size_t SlowBackend::OwnedSlotCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return owners_.size();
+  return owned_;
 }
 
 }  // namespace trio

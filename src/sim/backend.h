@@ -21,7 +21,11 @@
 //
 // Thread safety: all methods are safe to call concurrently (digestion thread, promote
 // reads from many LibFS threads, reconcile-time frees). The modeled latency is paid
-// outside the lock so slow "media" does not serialize unrelated callers.
+// outside the lock so slow "media" does not serialize unrelated callers, and so is a
+// read's copy: a slot's bytes never change once its number is handed out.
+//
+// Storage is indexed by slot number (slots are minted 1, 2, 3, ...), so a lookup is an
+// array index and the per-slot bookkeeping is one pointer plus one owner word.
 
 #ifndef SRC_SIM_BACKEND_H_
 #define SRC_SIM_BACKEND_H_
@@ -105,10 +109,17 @@ class SlowBackend {
   BackendCostModel cost_model_;
   mutable BackendStats stats_;  // Counters bump inside const reads.
 
+  // True iff `slot` was ever written. Caller holds mu_.
+  bool WrittenLocked(uint64_t slot) const { return slot != 0 && slot < data_.size(); }
+  bool OwnedByLocked(uint64_t slot, Ino owner) const {
+    return owner != kInvalidIno && WrittenLocked(slot) && owners_[slot] == owner;
+  }
+
   mutable std::mutex mu_;
-  uint64_t next_slot_ = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<char[]>> data_;  // Write-once, never erased.
-  std::unordered_map<uint64_t, Ino> owners_;
+  // Both indexed by slot; index 0 is a placeholder (slot numbers start at 1).
+  std::vector<std::unique_ptr<char[]>> data_ = std::vector<std::unique_ptr<char[]>>(1);
+  std::vector<Ino> owners_ = std::vector<Ino>(1, kInvalidIno);  // kInvalidIno = unowned.
+  size_t owned_ = 0;  // Slots whose owner is not kInvalidIno.
 };
 
 }  // namespace trio

@@ -1,10 +1,11 @@
 // Absorb-tier tests: background digestion to the slow backend, the tier-entry encoding
-// in index chains, promote-cache reads, promote-for-write conversion, reconcile-time
-// backend-slot accounting, crash sweeps over a digestion workload, and the LeaseCache
-// async-refill satellite.
+// in index chains, promote-cache reads (and that no promoted copy outlives a handoff or
+// a quarantine), promote-for-write conversion, reconcile-time backend-slot accounting,
+// crash sweeps over a digestion workload, and the LeaseCache async-refill satellite.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -17,6 +18,7 @@
 #include "src/core/core_state.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
+#include "src/libfs/promote_cache.h"
 #include "src/sim/backend.h"
 #include "src/sim/crash_explorer.h"
 #include "src/verifier/verify_error.h"
@@ -99,6 +101,18 @@ class TierTest : public ::testing::Test {
                                      return OkStatus();
                                    }));
     return slots;
+  }
+
+  // Byte 1 of file page `page` as `fs` reads it (byte 0 is WriteFile's page marker).
+  static char ReadByte(ArckFs& fs, const std::string& path, uint64_t page) {
+    Result<Fd> fd = fs.Open(path, OpenFlags::ReadOnly());
+    TRIO_CHECK_OK(fd.status());
+    std::vector<char> buffer(kPageSize);
+    Result<size_t> n = fs.Pread(*fd, buffer.data(), buffer.size(), page * kPageSize);
+    TRIO_CHECK_OK(n.status());
+    TRIO_CHECK(*n == kPageSize);
+    TRIO_CHECK_OK(fs.Close(*fd));
+    return buffer[1];
   }
 
   std::unique_ptr<NvmPool> pool_;
@@ -332,6 +346,105 @@ TEST_F(TierTest, ForgedTierMappingStealingAnotherFilesSlotIsQuarantined) {
   ASSERT_TRUE(fs_->Pread(*fd, buffer.data(), buffer.size(), 0).ok());
   EXPECT_EQ(buffer[1], 't');
   ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
+// ---- Promote cache ----
+
+TEST(PromoteCacheTest, EraseFileDropsExactlyThatFilesCopies) {
+  NvmPool pool(64);
+  PromoteCache cache(pool, 128);
+  constexpr Ino kA = 11;
+  constexpr Ino kB = 12;
+  std::vector<PageNumber> a_pages;
+  for (uint64_t i = 0; i < 4; ++i) {
+    const PageNumber a_page = 8 + i;
+    const PageNumber b_page = 16 + i;
+    pool.Set(pool.PageAddress(a_page), 'a' + static_cast<int>(i), kPageSize);
+    pool.Set(pool.PageAddress(b_page), 'b' + static_cast<int>(i), kPageSize);
+    ASSERT_EQ(cache.Insert(kA, i, a_page), 0u);
+    ASSERT_EQ(cache.Insert(kB, i, b_page), 0u);
+    a_pages.push_back(a_page);
+  }
+  std::vector<PageNumber> recycled;
+  cache.EraseFile(kA, &recycled);
+  std::sort(recycled.begin(), recycled.end());
+  EXPECT_EQ(recycled, a_pages);
+  for (uint64_t i = 0; i < 4; ++i) {
+    char byte = 0;
+    EXPECT_TRUE(cache.ReadHit(kB, i, 100, &byte, 1)) << i;
+    EXPECT_EQ(byte, 'b' + static_cast<int>(i));
+    EXPECT_FALSE(cache.ReadHit(kA, i, 100, &byte, 1)) << i;
+  }
+  recycled.clear();
+  cache.EraseFile(kA, &recycled);
+  EXPECT_TRUE(recycled.empty());
+}
+
+// LibFS A caches a promoted copy and hands the file back; LibFS B overwrites that page
+// and digestion moves the new bytes to a new backend slot. A's next read must not be
+// served from the copy of the old slot.
+TEST_F(TierTest, PromotedCopyDoesNotOutliveAnotherLibFsOverwrite) {
+  Boot();
+  ASSERT_TRUE(WriteFile("/shared", 4, 'a').ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/shared").ok());
+  ASSERT_EQ(kernel_->DigestNow(64), 4u);
+  const std::vector<uint64_t> before = TierSlots("shared");
+
+  EXPECT_EQ(ReadByte(*fs_, "/shared", 2), 'a');  // Promoted into A's cache.
+  ASSERT_TRUE(fs_->ReleaseFile("/shared").ok());
+
+  ArckFsConfig config;
+  config.promote_cache_slots = 64;
+  ArckFs other(*kernel_, config);
+  Result<Fd> fd = other.Open("/shared", OpenFlags::ReadWrite());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  const std::string block(kPageSize, 'b');
+  ASSERT_TRUE(other.Pwrite(*fd, block.data(), block.size(), 2 * kPageSize).ok());
+  ASSERT_TRUE(other.Close(*fd).ok());
+  ASSERT_TRUE(other.ReleaseFile("/shared").ok());
+  ASSERT_GT(kernel_->DigestNow(64), 0u);
+  const std::vector<uint64_t> after = TierSlots("shared");
+  ASSERT_EQ(after.size(), 4u);
+  ASSERT_NE(after[2], before[2]);
+
+  EXPECT_EQ(ReadByte(*fs_, "/shared", 2), 'b');
+}
+
+// A copy promoted while the file is write-mapped is gone once a failed release has
+// quarantined the file and rolled it back: the next read promotes afresh.
+TEST_F(TierTest, PromotedCopyDoesNotSurviveQuarantine) {
+  Boot();
+  ASSERT_TRUE(WriteFile("/q", 4, 'q').ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/q").ok());
+  ASSERT_TRUE(WriteFile("/other", 1, 'o').ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/other").ok());
+  ASSERT_EQ(kernel_->DigestNow(64), 5u);
+  const std::vector<uint64_t> other_slots = TierSlots("other");
+  ASSERT_EQ(other_slots.size(), 1u);
+
+  Result<Fd> fd = fs_->Open("/q", OpenFlags::ReadWrite());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  const std::string block(kPageSize, 'w');
+  ASSERT_TRUE(fs_->Pwrite(*fd, block.data(), block.size(), 0).ok());  // Write-mapped.
+  std::vector<char> buffer(kPageSize);
+  ASSERT_TRUE(fs_->Pread(*fd, buffer.data(), buffer.size(), kPageSize).ok());
+  ASSERT_EQ(buffer[1], 'q');  // Page 1 is now a promoted copy in the cache.
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+
+  // Page 3's entry claims the other file's slot: the release fails verification.
+  DirentBlock* dirent = FindDirent("q");
+  ASSERT_NE(dirent, nullptr);
+  auto* index = reinterpret_cast<IndexPage*>(pool_->PageAddress(dirent->first_index_page));
+  ASSERT_TRUE(IsTierEntry(index->entries[3]));
+  pool_->Store64(&index->entries[3], MakeTierEntry(other_slots[0]));
+  ASSERT_TRUE(fs_->ReleaseFile("/q").ok());
+  ASSERT_GE(kernel_->QuarantineCount(), 1u);
+  ASSERT_FALSE(fs_->QuarantineNotices().empty());
+
+  const uint64_t hits = fs_->promote_cache().stats().promote_hits.load();
+  EXPECT_EQ(ReadByte(*fs_, "/q", 1), 'q');
+  EXPECT_EQ(ReadByte(*fs_, "/q", 0), 'q');  // Rolled back: the write is gone.
+  EXPECT_EQ(fs_->promote_cache().stats().promote_hits.load(), hits);
 }
 
 // ---- LeaseCache satellites ----
