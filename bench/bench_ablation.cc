@@ -1,8 +1,8 @@
 // Ablation microbenchmarks (google-benchmark) for the design choices DESIGN.md calls
 // out: the BRAVO-biased readers-writer lock vs the plain counter lock (§4.5), the
-// per-directory hash table vs a radix-style index for name lookup (§6.2), the per-file
-// radix tree, the MPMC delegation ring, the delegation size threshold (§4.5), multiple
-// logging tails vs a single tail (§4.2), and the end-to-end create/write hot paths.
+// per-directory hash table vs a radix-style index for name lookup (§6.2), the MPMC
+// delegation ring, the delegation size threshold (§4.5), multiple logging tails vs a
+// single tail (§4.2), and the end-to-end create/write hot paths.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +17,6 @@
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
 #include "src/libfs/dir_index.h"
-#include "src/libfs/radix_tree.h"
 
 namespace trio {
 namespace {
@@ -70,20 +69,6 @@ void BM_OrderedMapLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OrderedMapLookup);
-
-// ---- Per-file radix tree ----
-
-void BM_RadixLookup(benchmark::State& state) {
-  PageRadixTree tree;
-  for (uint64_t i = 0; i < 1 << 16; ++i) {
-    tree.Insert(i, i + 100);
-  }
-  uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Lookup(i++ % (1 << 16)));
-  }
-}
-BENCHMARK(BM_RadixLookup);
 
 // ---- MPMC delegation ring ----
 

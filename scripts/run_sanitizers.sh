@@ -50,8 +50,8 @@ fleet_filter='FleetTest.*'
 # Tier suite: background digestion thread vs grants, promote-cache seqlock reads, the
 # LeaseCache refill worker, and the digestion crash sweep. Small enough to run whole.
 tier_filter='TierTest.*'
-# LibFS auxiliary structures (radix tree, directory index resizing under concurrent
-# inserts, fd table, journal, lease cache): small enough to run whole.
+# LibFS auxiliary structures (directory index resizing under concurrent inserts, fd
+# table, journal, lease cache): small enough to run whole.
 structures_filter='*'
 # Striped obs::Counter sums and resets across threads.
 counter_filter='StatRegistryTest.*'

@@ -127,8 +127,7 @@ Status ForEachDirent(NvmPool& pool, PageNumber first_index_page, Fn&& fn) {
 Result<uint64_t> CountDirents(NvmPool& pool, PageNumber first_index_page);
 
 // The data page covering logical file page `file_page_index`, or kNotFound if it is a hole
-// or beyond the chain. O(chain length) — LibFSes use their radix tree instead; this is for
-// the verifier and for rebuild.
+// or beyond the chain. O(chain length); ArckFS indexes its cached chain vector instead.
 Result<PageNumber> LookupDataPage(const NvmPool& pool, PageNumber first_index_page,
                                   uint64_t file_page_index);
 

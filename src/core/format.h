@@ -1,7 +1,7 @@
 // Trio core-state format (§4.1). This is the single, explicitly defined data layout that all
 // components — every LibFS, the kernel controller, and the integrity verifier — share as
 // common knowledge. A LibFS may never change these structures; everything else it keeps
-// (radix trees, hash tables, fd tables, locks) is private auxiliary state.
+// (page maps, hash tables, fd tables, locks) is private auxiliary state.
 //
 // Layout of the pool:
 //   page 0                      : Superblock (LibFS: read-only)

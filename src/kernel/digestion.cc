@@ -202,8 +202,8 @@ size_t KernelController::DigestFile(Ino ino, size_t max_pages) {
                        record->backend_slots.begin() + old_slots,
                        record->backend_slots.end());
     if (!moved.empty()) {
-      // Bump the dirent generation so a LibFS with a cached radix over the old entries
-      // rebuilds its auxiliary state on the next map (same contract as a write grant).
+      // Bump the dirent generation so a LibFS with auxiliary state cached over the old
+      // entries rebuilds it on the next map (same contract as a write grant).
       DirentBlock* dirent = DirentOfLocked(*record);
       obs::PersistSpan(pool_, &persist_stats_)
           .CommitStore64(&dirent->generation, dirent->generation + 1);

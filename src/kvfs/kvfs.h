@@ -3,8 +3,8 @@
 //
 //  * get/set always operate from the beginning of a file, so there are no file
 //    descriptors (and none of their allocation overhead);
-//  * files are at most 32 KiB, so the radix tree is replaced with a fixed-size array of
-//    page numbers — no index-walking overhead;
+//  * files are at most 32 KiB, so ArckFS's per-file index-chain vector is replaced with
+//    a fixed-size array of page numbers — one lookup, no chain to rebuild;
 //  * with many files, per-file contention is rare, so the readers-writer inode lock and
 //    the range lock collapse into one spinlock per file.
 //
@@ -51,7 +51,7 @@ class KvFs : public ArckFs {
     SpinLock lock;
     NodePtr node;                             // Underlying mapping bookkeeping.
     PageNumber index_page = 0;                // Small files have exactly one index page.
-    PageNumber pages[kMaxValuePages] = {};    // The fixed-size array replacing the radix.
+    PageNumber pages[kMaxValuePages] = {};    // The fixed-size per-file page map.
   };
 
   Result<KvNode*> GetKvNode(const std::string& key, bool create);

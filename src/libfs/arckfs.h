@@ -4,9 +4,10 @@
 //
 //  * Direct access: after the kernel controller maps a file, every data and metadata
 //    operation runs on loads/stores to the core state — no kernel crossing.
-//  * Auxiliary state (§4.2): per-file radix tree, readers-writer inode lock + range lock;
-//    per-directory resizable chained hash table with per-bucket locks, multiple logging
-//    tails and an index tail; fd table; per-CPU leases of pages/inos; per-CPU undo journal.
+//  * Auxiliary state (§4.2): per-file index-page chain (the page map, read in place),
+//    readers-writer inode lock + range lock; per-directory resizable chained hash table
+//    with per-bucket locks, multiple logging tails and an index tail; fd table; per-CPU
+//    leases of pages/inos; per-CPU undo journal.
 //  * Crash consistency (§4.4): metadata ops are synchronous and atomic (ordered persists
 //    committing on an 8-byte store); data ops are synchronous, not atomic; rename uses the
 //    undo journal; fsync is a no-op.
@@ -40,7 +41,6 @@
 #include "src/libfs/lease_cache.h"
 #include "src/libfs/op_ring.h"
 #include "src/libfs/promote_cache.h"
-#include "src/libfs/radix_tree.h"
 #include "src/obs/stats.h"
 
 namespace trio {
@@ -171,8 +171,9 @@ class ArckFs : public FsInterface, private RingPassHooks {
     // Regular-file auxiliary state (§4.2).
     BravoRwLock inode_lock;
     RangeLock range_lock;
-    PageRadixTree radix;
-    // Chain order. Extended under inode_lock exclusive; dropped and rebuilt only under
+    // The index chain in chain order: a file's page map is the core-state entries of
+    // these pages, read in place (EntryOf). Extended under inode_lock exclusive for
+    // files and under tails_lock for directories; dropped and rebuilt only under
     // map_mutex + op_lock exclusive, like the rest of the auxiliary state.
     std::vector<PageNumber> index_pages;
     std::vector<PageNumber> reuse_pages;  // Owned, unlinked by truncate; reusable in-file.
@@ -193,14 +194,13 @@ class ArckFs : public FsInterface, private RingPassHooks {
       // until an unlink frees a slot in them.
       std::atomic<bool> full{false};
     };
-    SpinLock tails_lock;  // Guards dir_tails + dir_tail_index + dir_index_pages +
-                          // dir_next_entry.
+    SpinLock tails_lock;  // Guards dir_tails + dir_tail_index + index_pages (of a
+                          // directory) + dir_next_entry.
     std::vector<std::unique_ptr<DirTail>> dir_tails;
     std::unordered_map<PageNumber, size_t> dir_tail_index;  // page -> dir_tails slot.
     // First possibly-non-full tail: creates start scanning here, keeping the common
     // create O(1) in directory size.
     std::atomic<size_t> dir_first_nonfull{0};
-    std::vector<PageNumber> dir_index_pages;
     size_t dir_next_entry = 0;  // Free entries used in the last index page (index tail).
   };
   using NodePtr = std::shared_ptr<FileNode>;
@@ -259,9 +259,12 @@ class ArckFs : public FsInterface, private RingPassHooks {
   void DropAux(FileNode* node);
 
   // Data-page plumbing.
+  // Raw index entry of file page `index` (tier tag included; 0 = hole or past the
+  // chain). Callers hold the inode lock, which guards index_pages.
+  uint64_t EntryOf(const FileNode* node, uint64_t index) const;
   Status EnsureIndexCapacity(FileNode* node, uint64_t max_page_index);
   Result<PageNumber> AllocDataPage(FileNode* node, uint64_t page_index, bool zero);
-  Status LinkDataPage(FileNode* node, uint64_t page_index, PageNumber page);
+  void LinkDataPage(FileNode* node, uint64_t page_index, PageNumber page);
   Status AppendDirDataPage(FileNode* dir);
 
   // ---- Tier promote path (DESIGN.md §4.11) ----
@@ -279,7 +282,8 @@ class ArckFs : public FsInterface, private RingPassHooks {
   // Any tier entry among the file pages covering [offset, offset+count)? Tier entries
   // are converted to NVM pages under the exclusive inode lock (a shared-lock writer
   // could otherwise race another on the same index slot); while write-mapped no NEW
-  // tier entry can appear (digestion skips mapped files), so a pre-lock check is stable.
+  // tier entry can appear (digestion skips mapped files), so a check made under the
+  // shared lock stays true. Callers hold the inode lock.
   bool RangeHasTierEntries(FileNode* node, uint64_t offset, size_t count);
 
   // Copies with optional delegation: a non-null `batch` queues the chunk into the

@@ -63,6 +63,16 @@ void ArckFs::CopyFromNvm(char* dst, const char* src, size_t len, DelegationBatch
   pool_.Read(dst, src, len);
 }
 
+uint64_t ArckFs::EntryOf(const FileNode* node, uint64_t index) const {
+  const size_t chain_slot = index / kIndexEntriesPerPage;
+  if (chain_slot >= node->index_pages.size()) {
+    return 0;
+  }
+  const auto* page =
+      reinterpret_cast<const IndexPage*>(pool_.PageAddress(node->index_pages[chain_slot]));
+  return pool_.Load64(&page->entries[index % kIndexEntriesPerPage]);
+}
+
 Status ArckFs::EnsureIndexCapacity(FileNode* node, uint64_t max_page_index) {
   // Exclusive inode lock held. Extend the chain so entry slot `max_page_index` exists.
   while (node->index_pages.size() * kIndexEntriesPerPage <= max_page_index) {
@@ -159,21 +169,19 @@ bool ArckFs::RangeHasTierEntries(FileNode* node, uint64_t offset, size_t count) 
   const uint64_t first = offset / kPageSize;
   const uint64_t last = (offset + count - 1) / kPageSize;
   for (uint64_t index = first; index <= last; ++index) {
-    if (IsTierEntry(node->radix.Lookup(index))) {
+    if (IsTierEntry(EntryOf(node, index))) {
       return true;
     }
   }
   return false;
 }
 
-Status ArckFs::LinkDataPage(FileNode* node, uint64_t page_index, PageNumber page) {
+void ArckFs::LinkDataPage(FileNode* node, uint64_t page_index, PageNumber page) {
   const size_t chain_slot = page_index / kIndexEntriesPerPage;
   TRIO_CHECK(chain_slot < node->index_pages.size()) << "index chain does not cover page";
   auto* index = reinterpret_cast<IndexPage*>(pool_.PageAddress(node->index_pages[chain_slot]));
   obs::PersistSpan(pool_, &persist_stats_)
       .CommitStore64(&index->entries[page_index % kIndexEntriesPerPage], page);
-  node->radix.Insert(page_index, page);
-  return OkStatus();
 }
 
 Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count,
@@ -198,25 +206,24 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
     size = pool_.Load64(&node->dirent->size);
     offset = size;
   } else {
-    while (true) {
+    size = pool_.Load64(&node->dirent->size);
+    exclusive = offset + count > size;
+    if (!exclusive) {
+      node->inode_lock.lock_shared();
+      // Re-check under the lock, which guards index_pages: a truncate may have shrunk
+      // the file meanwhile, and tier entries convert to NVM pages only under the
+      // exclusive inode lock (two shared-lock writers would race on the same index
+      // slot; see RangeHasTierEntries for why the check stays true once made).
       size = pool_.Load64(&node->dirent->size);
-      // Tier entries convert to NVM pages only under the exclusive inode lock (two
-      // shared-lock writers would race on the same index slot); see RangeHasTierEntries
-      // for why the pre-lock check is stable.
       exclusive = offset + count > size || RangeHasTierEntries(node, offset, count);
       if (exclusive) {
-        node->inode_lock.lock();
-        // Size may have grown while we waited; the exclusive lock is still fine.
-        size = pool_.Load64(&node->dirent->size);
-      } else {
-        node->inode_lock.lock_shared();
-        const uint64_t now_size = pool_.Load64(&node->dirent->size);
-        if (offset + count > now_size) {
-          node->inode_lock.unlock_shared();
-          continue;  // Raced with a truncate; retry on the exclusive path.
-        }
+        node->inode_lock.unlock_shared();
       }
-      break;
+    }
+    if (exclusive) {
+      node->inode_lock.lock();
+      // Size may have changed while we waited; the exclusive lock is fine either way.
+      size = pool_.Load64(&node->dirent->size);
     }
   }
   if (offset_used != nullptr) {
@@ -258,7 +265,7 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
       const uint64_t page_index = cursor / kPageSize;
       const uint64_t in_page = cursor % kPageSize;
       const size_t chunk = std::min<uint64_t>(kPageSize - in_page, end - cursor);
-      PageNumber page = node->radix.Lookup(page_index);
+      PageNumber page = EntryOf(node, page_index);
       if (page != 0 && IsTierEntry(page)) {
         // Writing a digested page: promote it back to NVM authority. The tagged entry
         // is replaced below via the normal to_link commit; the orphaned backend slot is
@@ -272,7 +279,6 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
         }
         page = *promoted;
         to_link.push_back({page_index, page});
-        node->radix.Insert(page_index, page);
       } else if (page == 0) {
         const bool full_page = in_page == 0 && chunk == kPageSize;
         Result<PageNumber> fresh = AllocDataPage(node, page_index, /*zero=*/!full_page);
@@ -282,8 +288,6 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
         }
         page = *fresh;
         to_link.push_back({page_index, page});
-        // Make it visible to this op's later iterations (not yet linked in core state).
-        node->radix.Insert(page_index, page);
       }
       CopyToNvm(pool_.PageAddress(page) + in_page, src + (cursor - offset), chunk,
                 batch, config_.sync_data, &span);
@@ -313,10 +317,14 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
 
   if (status.ok()) {
     for (const auto& [page_index, page] : to_link) {
-      status = LinkDataPage(node, page_index, page);
-      if (!status.ok()) {
-        break;
-      }
+      LinkDataPage(node, page_index, page);
+    }
+  } else if (!to_link.empty()) {
+    // A failed write (say NoSpace mid-loop) links none of the pages it filled: hand
+    // them to the file's reuse pool instead of leaving them leased and unused.
+    std::lock_guard<SpinLock> guard(node->tails_lock);
+    for (const auto& [page_index, page] : to_link) {
+      node->reuse_pages.push_back(page);
     }
   }
   if (status.ok() && extend) {
@@ -362,7 +370,7 @@ Result<size_t> ArckFs::ReadLocked(FileNode* node, void* buf, size_t count, uint6
     const uint64_t page_index = cursor / kPageSize;
     const uint64_t in_page = cursor % kPageSize;
     const size_t chunk = std::min<uint64_t>(kPageSize - in_page, end - cursor);
-    const PageNumber page = node->radix.Lookup(page_index);
+    const PageNumber page = EntryOf(node, page_index);
     if (page == 0) {
       std::memset(dst + (cursor - offset), 0, chunk);  // Hole.
     } else if (IsTierEntry(page)) {
@@ -404,7 +412,7 @@ Status ArckFs::TruncateLocked(FileNode* node, uint64_t new_size) {
   // Zero the tail of the boundary page so a later size-only grow reads zeros.
   if (new_size % kPageSize != 0) {
     const uint64_t boundary_index = new_size / kPageSize;
-    PageNumber boundary = node->radix.Lookup(boundary_index);
+    PageNumber boundary = EntryOf(node, boundary_index);
     if (boundary != 0 && IsTierEntry(boundary)) {
       // The boundary page is digested and its surviving bytes must be scrubbed in
       // place: promote it back to NVM (filled), link the copy, then zero the tail of
@@ -412,7 +420,7 @@ Status ArckFs::TruncateLocked(FileNode* node, uint64_t new_size) {
       TRIO_ASSIGN_OR_RETURN(
           PageNumber promoted,
           PromoteForWrite(node, boundary_index, TierSlotOfEntry(boundary), /*fill=*/true));
-      TRIO_RETURN_IF_ERROR(LinkDataPage(node, boundary_index, promoted));
+      LinkDataPage(node, boundary_index, promoted);
       boundary = promoted;
     }
     if (boundary != 0) {
@@ -424,7 +432,7 @@ Status ArckFs::TruncateLocked(FileNode* node, uint64_t new_size) {
   const uint64_t first_dead = (new_size + kPageSize - 1) / kPageSize;
   const uint64_t last_page = old_size == 0 ? 0 : (old_size - 1) / kPageSize;
   for (uint64_t index = first_dead; index <= last_page; ++index) {
-    const PageNumber page = node->radix.Lookup(index);
+    const PageNumber page = EntryOf(node, index);
     if (page == 0) {
       continue;
     }
@@ -433,7 +441,6 @@ Status ArckFs::TruncateLocked(FileNode* node, uint64_t new_size) {
         reinterpret_cast<IndexPage*>(pool_.PageAddress(node->index_pages[chain_slot]));
     pool_.Store64(&chain->entries[index % kIndexEntriesPerPage], 0);
     span.Persist(&chain->entries[index % kIndexEntriesPerPage], sizeof(uint64_t));
-    node->radix.Erase(index);
     if (IsTierEntry(page)) {
       // A truncated digested page has no NVM page to reuse; drop any promoted copy.
       // The backend slot itself is released when this write session reconciles.

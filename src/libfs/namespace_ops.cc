@@ -63,22 +63,22 @@ Status ArckFs::AppendDirDataPage(FileNode* dir) {
   obs::PersistSpan span(pool_, &persist_stats_);
   TRIO_ASSIGN_OR_RETURN(PageNumber data_page,
                         AllocZeroedPage(leases_, pool_, &persist_stats_, 0));
-  if (dir->dir_index_pages.empty()) {
+  if (dir->index_pages.empty()) {
     TRIO_ASSIGN_OR_RETURN(PageNumber index_page,
                           AllocZeroedPage(leases_, pool_, &persist_stats_, 0));
     span.CommitStore64(&dir->dirent->first_index_page, index_page);
-    dir->dir_index_pages.push_back(index_page);
+    dir->index_pages.push_back(index_page);
     dir->dir_next_entry = 0;
   }
   if (dir->dir_next_entry == kIndexEntriesPerPage) {
     TRIO_ASSIGN_OR_RETURN(PageNumber index_page,
                           AllocZeroedPage(leases_, pool_, &persist_stats_, 0));
-    auto* last = reinterpret_cast<IndexPage*>(pool_.PageAddress(dir->dir_index_pages.back()));
+    auto* last = reinterpret_cast<IndexPage*>(pool_.PageAddress(dir->index_pages.back()));
     span.CommitStore64(&last->next, index_page);
-    dir->dir_index_pages.push_back(index_page);
+    dir->index_pages.push_back(index_page);
     dir->dir_next_entry = 0;
   }
-  auto* last = reinterpret_cast<IndexPage*>(pool_.PageAddress(dir->dir_index_pages.back()));
+  auto* last = reinterpret_cast<IndexPage*>(pool_.PageAddress(dir->index_pages.back()));
   span.CommitStore64(&last->entries[dir->dir_next_entry], data_page);
   dir->dir_next_entry++;
   auto tail = std::make_unique<FileNode::DirTail>();

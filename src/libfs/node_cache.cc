@@ -205,7 +205,6 @@ std::vector<std::pair<Ino, Status>> ArckFs::QuarantineNotices() {
 }
 
 void ArckFs::DropAux(FileNode* node) {
-  node->radix.Clear();
   node->index_pages.clear();
   node->reuse_pages.clear();
   if (!node->is_dir && node->may_hold_promoted.exchange(false, std::memory_order_relaxed)) {
@@ -221,7 +220,6 @@ void ArckFs::DropAux(FileNode* node) {
   node->dir_tails.clear();
   node->dir_tail_index.clear();
   node->dir_first_nonfull.store(0, std::memory_order_relaxed);
-  node->dir_index_pages.clear();
   node->dir_next_entry = 0;
 }
 
@@ -231,24 +229,14 @@ Status ArckFs::RebuildAux(FileNode* node) {
   TRIO_CHECK(node->dirent != nullptr);
   const PageNumber first = node->dirent->first_index_page;
   DropAux(node);
-  if (!node->is_dir) {
-    TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, first, [&](PageNumber p) -> Status {
-      node->index_pages.push_back(p);
-      return OkStatus();
-    }));
-    // Raw entries, tier tags included: the radix mirrors the index chain verbatim so
-    // the data path can distinguish NVM pages from digested (tagged) mappings.
-    TRIO_RETURN_IF_ERROR(
-        ForEachDataEntry(pool_, first, [&](uint64_t index, uint64_t entry) -> Status {
-          node->radix.Insert(index, entry);
-          return OkStatus();
-        }));
-  } else {
+  // A regular file's page map is its chain's entries, read in place (EntryOf), so its
+  // rebuild is this walk of the index pages alone.
+  TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, first, [&](PageNumber p) -> Status {
+    node->index_pages.push_back(p);
+    return OkStatus();
+  }));
+  if (node->is_dir) {
     node->dir_index = std::make_unique<DirIndex>();
-    TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, first, [&](PageNumber p) -> Status {
-      node->dir_index_pages.push_back(p);
-      return OkStatus();
-    }));
     TRIO_RETURN_IF_ERROR(
         ForEachDataPage(pool_, first, [&](uint64_t, PageNumber p) -> Status {
           auto tail = std::make_unique<FileNode::DirTail>();
@@ -269,9 +257,9 @@ Status ArckFs::RebuildAux(FileNode* node) {
           node->dir_tails.push_back(std::move(tail));
           return OkStatus();
         }));
-    if (!node->dir_index_pages.empty()) {
+    if (!node->index_pages.empty()) {
       const auto* last =
-          reinterpret_cast<const IndexPage*>(pool_.PageAddress(node->dir_index_pages.back()));
+          reinterpret_cast<const IndexPage*>(pool_.PageAddress(node->index_pages.back()));
       size_t used = 0;
       for (size_t i = 0; i < kIndexEntriesPerPage; ++i) {
         if (last->entries[i] != 0) {

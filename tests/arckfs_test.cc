@@ -639,7 +639,7 @@ TEST_F(ArckFsTest, DroppedNodeStaysValidWhileAnOpHoldsIt) {
   EXPECT_EQ(probe.FindNode(info->ino), nullptr);
   ASSERT_FALSE(watch.expired());
   EXPECT_EQ(held->ino, info->ino);
-  held->radix.Clear();  // Its auxiliary state is still owned memory.
+  held->index_pages.clear();  // Its auxiliary state is still owned memory.
   held.reset();
   EXPECT_TRUE(watch.expired());
 }
@@ -824,6 +824,94 @@ TEST_F(ArckFsTest, ConcurrentAppendsLoseNoRecords) {
   for (int w = 0; w < kWriters; ++w) {
     EXPECT_EQ(per_writer[w], static_cast<size_t>(kRecords)) << "writer " << w;
   }
+}
+
+// In-place writers and readers index the file through FileNode::index_pages while an
+// appender extends the chain (and so reallocates the vector) under the exclusive inode
+// lock. Every byte written must read back, during the run and after it.
+TEST_F(ArckFsTest, ConcurrentInPlaceIoWhileTheChainGrows) {
+  constexpr size_t kSegment = 2 << 20;  // The first range-lock segment.
+  constexpr size_t kHalf = kSegment / 2;
+  constexpr size_t kChunk = 6000;  // Unaligned: most chunks straddle two pages.
+  constexpr size_t kAppend = 64 << 10;
+  // From 2 index pages at the start (512 pages) to 5: three chain boundaries crossed.
+  constexpr uint64_t kTargetSize = (4 * kIndexEntriesPerPage + 1) * kPageSize;
+  WriteFile("/grow", std::string(kSegment, '.'));
+  Result<Fd> fd = fs_->Open("/grow", OpenFlags::ReadWrite());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+
+  std::atomic<bool> grown{false};
+  Status appended = OkStatus();
+  std::thread appender([&] {
+    const std::string block(kAppend, '+');
+    for (uint64_t size = kSegment; size < kTargetSize && appended.ok(); size += kAppend) {
+      appended = fs_->Pwrite(*fd, block.data(), block.size(), size).status();
+    }
+    grown = true;
+  });
+  std::string shadow[2] = {std::string(kHalf, '.'), std::string(kHalf, '.')};
+  std::vector<std::thread> in_place;
+  for (int t = 0; t < 2; ++t) {
+    in_place.emplace_back([&, t] {
+      Rng rng(TestSeed() + t);
+      std::string chunk(kChunk, '\0');
+      std::string back(kChunk, '\0');
+      for (int iter = 0; !grown || iter < 64; ++iter) {
+        const uint64_t at = rng.Below(kHalf - kChunk + 1);
+        std::memset(chunk.data(), 'a' + (t * 13 + iter) % 26, kChunk);
+        const uint64_t offset = t * kHalf + at;
+        Result<size_t> n = fs_->Pwrite(*fd, chunk.data(), kChunk, offset);
+        ASSERT_TRUE(n.ok()) << n.status().ToString();
+        shadow[t].replace(at, kChunk, chunk);
+        n = fs_->Pread(*fd, back.data(), kChunk, offset);
+        ASSERT_TRUE(n.ok()) << n.status().ToString();
+        ASSERT_EQ(*n, kChunk);
+        ASSERT_EQ(back, chunk) << "thread " << t << " iteration " << iter;
+      }
+    });
+  }
+  appender.join();
+  for (auto& th : in_place) {
+    th.join();
+  }
+  ASSERT_TRUE(appended.ok()) << appended.ToString();
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  const std::string data = ReadAll("/grow");
+  ASSERT_GE(data.size(), kTargetSize);
+  EXPECT_TRUE(data.compare(0, kHalf, shadow[0]) == 0);
+  EXPECT_TRUE(data.compare(kHalf, kHalf, shadow[1]) == 0);
+  EXPECT_EQ(data.find_first_not_of('+', kSegment), std::string::npos);
+}
+
+// A write that fails with NoSpace part way links none of its pages. A later write to the
+// same file page must allocate and link its own page: the one it lands in has to survive
+// the handoff, not read back as zeros from an unlinked page.
+TEST_F(ArckFsTest, AcknowledgedWriteSurvivesHandoffAfterNoSpace) {
+  Result<Fd> fd = fs_->Open("/f", OpenFlags::CreateRw());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  const std::string block(1 << 20, 'x');
+  uint64_t size = 0;
+  for (;;) {
+    Result<size_t> n = fs_->Pwrite(*fd, block.data(), block.size(), size);
+    if (!n.ok()) {
+      ASSERT_TRUE(n.status().Is(ErrorCode::kNoSpace)) << n.status().ToString();
+      break;
+    }
+    size += *n;
+  }
+  const std::string payload = "acknowledged";
+  Result<size_t> n = fs_->Pwrite(*fd, payload.data(), payload.size(), size);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+
+  ASSERT_TRUE(fs_->ReleaseFile("/f").ok());
+  fd = fs_->Open("/f", OpenFlags::ReadOnly());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  std::string back(payload.size(), '\0');
+  n = fs_->Pread(*fd, back.data(), back.size(), size);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(back, payload);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
 }
 
 TEST_F(ArckFsTest, SharedFdCursorAdvancesByCompletedBytes) {

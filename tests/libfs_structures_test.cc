@@ -1,6 +1,5 @@
-// Unit tests for ArckFS's auxiliary data structures (§4.2): the per-file radix tree, the
-// per-directory resizable chained hash table, the fd table, the undo journal, and the
-// lease caches.
+// Unit tests for ArckFS's auxiliary data structures (§4.2): the per-directory resizable
+// chained hash table, the fd table, the undo journal, and the lease caches.
 
 #include <gtest/gtest.h>
 
@@ -14,67 +13,9 @@
 #include "src/libfs/fd_table.h"
 #include "src/libfs/journal.h"
 #include "src/libfs/lease_cache.h"
-#include "src/libfs/radix_tree.h"
 
 namespace trio {
 namespace {
-
-TEST(RadixTreeTest, EmptyLookupsReturnZero) {
-  PageRadixTree tree;
-  EXPECT_EQ(tree.Lookup(0), 0u);
-  EXPECT_EQ(tree.Lookup(12345), 0u);
-  EXPECT_EQ(tree.Lookup(PageRadixTree::kMaxPages + 1), 0u);
-}
-
-TEST(RadixTreeTest, InsertLookupEraseRoundTrip) {
-  PageRadixTree tree;
-  tree.Insert(0, 100);
-  tree.Insert(511, 101);
-  tree.Insert(512, 102);
-  tree.Insert(512 * 512 + 7, 103);
-  EXPECT_EQ(tree.Lookup(0), 100u);
-  EXPECT_EQ(tree.Lookup(511), 101u);
-  EXPECT_EQ(tree.Lookup(512), 102u);
-  EXPECT_EQ(tree.Lookup(512 * 512 + 7), 103u);
-  tree.Erase(511);
-  EXPECT_EQ(tree.Lookup(511), 0u);
-  EXPECT_EQ(tree.Lookup(512), 102u);
-}
-
-TEST(RadixTreeTest, ClearDropsEverything) {
-  PageRadixTree tree;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    tree.Insert(i, i + 1);
-  }
-  tree.Clear();
-  for (uint64_t i = 0; i < 1000; ++i) {
-    EXPECT_EQ(tree.Lookup(i), 0u);
-  }
-}
-
-TEST(RadixTreeTest, ConcurrentReadersDuringInserts) {
-  PageRadixTree tree;
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    for (uint64_t i = 0; i < 20000; ++i) {
-      tree.Insert(i, i + 1);
-    }
-    stop = true;
-  });
-  std::thread reader([&] {
-    while (!stop) {
-      for (uint64_t i = 0; i < 20000; i += 97) {
-        const PageNumber v = tree.Lookup(i);
-        ASSERT_TRUE(v == 0 || v == i + 1);
-      }
-    }
-  });
-  writer.join();
-  reader.join();
-  for (uint64_t i = 0; i < 20000; ++i) {
-    ASSERT_EQ(tree.Lookup(i), i + 1);
-  }
-}
 
 TEST(DirIndexTest, InsertLookupErase) {
   DirIndex index;
